@@ -3,9 +3,7 @@
 //   * sparsity-first inequality ordering on/off,
 //   * row-wise vs column-wise vs dynamic product evaluation,
 //   * delta-driven incremental evaluation on/off (counted accumulators +
-//     hierarchical zero-block skipping vs full re-evaluation each round),
-//   * candidate-set kernel mode: occupancy-driven GAP/RLE compression
-//     (auto) vs forced dense vs forced compressed.
+//     hierarchical zero-block skipping vs full re-evaluation each round).
 // The paper's observation: no single heuristic fits all inputs, but the
 // dynamic default is never far from the best. The incremental pair is the
 // headline comparison of this bench: identical fixpoint trajectory
@@ -54,17 +52,6 @@ std::vector<Variant> Variants() {
   variants.push_back({"col-only", make(true, true, Mode::kColumnWise, true)});
   variants.push_back(
       {"naive(12,noord,row,noinc)", make(false, false, Mode::kRowWise, false)});
-  // Kernel-mode pair: the default above is kernel=auto already, so these
-  // isolate the representation axis against it. Trajectories must match
-  // the default row exactly (asserted after each query).
-  {
-    sim::SolverOptions dense = make(true, true, Mode::kDynamic, true);
-    dense.kernel_mode = sim::SolverOptions::KernelMode::kDense;
-    variants.push_back({"kernel-dense", dense});
-    sim::SolverOptions comp = make(true, true, Mode::kDynamic, true);
-    comp.kernel_mode = sim::SolverOptions::KernelMode::kCompressed;
-    variants.push_back({"kernel-compressed", comp});
-  }
   return variants;
 }
 
@@ -79,8 +66,6 @@ struct VariantRow {
   size_t full_evals = 0;
   size_t cols_cleared = 0;
   size_t blocks_skipped = 0;
-  size_t compressed_ops = 0;
-  size_t repr_compressions = 0;
   size_t scratch_reuses = 0;
   size_t scratch_allocs = 0;
   size_t words_cleared_sparse = 0;
@@ -120,8 +105,6 @@ QueryResult RunQuery(const char* id, const graph::GraphDatabase& db,
     row.full_evals = solution.stats.full_evals;
     row.cols_cleared = solution.stats.cols_cleared;
     row.blocks_skipped = solution.stats.blocks_skipped;
-    row.compressed_ops = solution.stats.compressed_ops;
-    row.repr_compressions = solution.stats.repr_compressions;
     row.scratch_reuses = solution.stats.scratch_reuses;
     row.scratch_allocs = solution.stats.scratch_allocs;
     row.words_cleared_sparse = solution.stats.words_cleared_sparse;
@@ -144,19 +127,6 @@ QueryResult RunQuery(const char* id, const graph::GraphDatabase& db,
                  inc_off.updates);
     std::abort();
   }
-  // Same gate for the kernel-mode pair: dense and compressed must walk
-  // the default (auto) trajectory bit for bit.
-  for (const VariantRow& r : result.rows) {
-    if (r.name.rfind("kernel-", 0) != 0) continue;
-    if (r.rounds != inc_on.rounds || r.updates != inc_on.updates) {
-      std::fprintf(stderr,
-                   "FATAL: %s trajectory diverged from kernel-auto on %s "
-                   "(rounds %zu vs %zu, updates %zu vs %zu)\n",
-                   r.name.c_str(), id, r.rounds, inc_on.rounds, r.updates,
-                   inc_on.updates);
-      std::abort();
-    }
-  }
   return result;
 }
 
@@ -174,29 +144,6 @@ void WriteJson(const std::vector<QueryResult>& results, FILE* out) {
                "%.6f, \"speedup\": %.3f},\n",
                on_total, off_total,
                on_total > 0 ? off_total / on_total : 0.0);
-  // Kernel-mode aggregate: wall-clock per representation policy and the
-  // compressed-kernel executions the auto / forced-compressed rows
-  // performed (nonzero compressed_ops is the engagement evidence).
-  double dense_total = 0, comp_total = 0;
-  size_t auto_ops = 0, comp_ops = 0, auto_compressions = 0;
-  for (const QueryResult& q : results) {
-    auto_ops += q.rows[0].compressed_ops;
-    auto_compressions += q.rows[0].repr_compressions;
-    for (const VariantRow& r : q.rows) {
-      if (r.name == "kernel-dense") dense_total += r.seconds;
-      if (r.name == "kernel-compressed") {
-        comp_total += r.seconds;
-        comp_ops += r.compressed_ops;
-      }
-    }
-  }
-  std::fprintf(out,
-               "  \"kernel\": {\"seconds_auto\": %.6f, \"seconds_dense\": "
-               "%.6f, \"seconds_compressed\": %.6f, \"compressed_ops_auto\": "
-               "%zu, \"compressed_ops_compressed\": %zu, "
-               "\"auto_compressions\": %zu},\n",
-               on_total, dense_total, comp_total, auto_ops, comp_ops,
-               auto_compressions);
   std::fprintf(out, "  \"queries\": [\n");
   for (size_t i = 0; i < results.size(); ++i) {
     const QueryResult& q = results[i];
@@ -208,13 +155,12 @@ void WriteJson(const std::vector<QueryResult>& results, FILE* out) {
                    "%zu, \"updates\": %zu, \"row_evals\": %zu, \"col_evals\": "
                    "%zu, \"delta_evals\": %zu, \"full_evals\": %zu, "
                    "\"cols_cleared\": %zu, \"blocks_skipped\": %zu, "
-                   "\"compressed_ops\": %zu, \"repr_compressions\": %zu, "
                    "\"scratch_reuses\": %zu, \"scratch_allocs\": %zu, "
                    "\"words_cleared_sparse\": %zu}%s\n",
                    r.name.c_str(), r.seconds, r.rounds, r.updates, r.row_evals,
                    r.col_evals, r.delta_evals, r.full_evals, r.cols_cleared,
-                   r.blocks_skipped, r.compressed_ops, r.repr_compressions,
-                   r.scratch_reuses, r.scratch_allocs, r.words_cleared_sparse,
+                   r.blocks_skipped, r.scratch_reuses, r.scratch_allocs,
+                   r.words_cleared_sparse,
                    j + 1 == q.rows.size() ? "" : ",");
     }
     std::fprintf(out, "    ]}%s\n", i + 1 == results.size() ? "" : ",");

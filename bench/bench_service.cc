@@ -3,8 +3,8 @@
 //  * worker sweep — a fixed mix of benchmark queries (with duplicates, so
 //    dedup and the solution cache get real work) submitted concurrently at
 //    1/2/4/... service workers;
-//  * shard sweep — the same mix at a fixed worker count with column
-//    sharding of each fixpoint round (solver.num_shards);
+//  * steady state — a warmed service with pooled vs unpooled solve
+//    scratch over the repeated mix;
 //  * snapshot churn — readers racing a publisher that alternates triple
 //    ingest and restriction, exercising MVCC snapshot pinning.
 //
@@ -67,7 +67,6 @@ std::vector<sparql::Query> MakeMix(size_t count) {
 
 struct Sample {
   size_t workers = 0;
-  size_t shards = 1;
   double seconds = 0;
   double qps = 0;
   size_t executed = 0;
@@ -327,16 +326,15 @@ int Run(int argc, char** argv) {
   std::printf("  mix: %zu submissions, %zu distinct patterns, queue depth "
               "%zu, cache capacity %zu\n",
               mix.size(), reference.size(), queue_depth, cache_capacity);
-  std::printf("  %-8s %-7s %10s %10s %9s %10s %10s %9s\n", "workers",
-              "shards", "time(s)", "q/s", "executed", "coalesced", "sol.hits",
+  std::printf("  %-8s %10s %10s %9s %10s %10s %9s\n", "workers",
+              "time(s)", "q/s", "executed", "coalesced", "sol.hits",
               "lru.evict");
 
-  auto run_sample = [&](size_t workers, size_t shards) {
+  auto run_sample = [&](size_t workers) {
     sim::QueryServiceOptions options;
     options.num_workers = workers;
     options.queue_depth = queue_depth;
     options.cache_capacity = cache_capacity;
-    options.solver.num_shards = shards;
     sim::QueryService service(&db, options);
 
     util::Stopwatch watch;
@@ -349,7 +347,7 @@ int Run(int argc, char** argv) {
     double seconds = watch.ElapsedSeconds();
 
     // Correctness gate: concurrent == sequential, bit for bit — for any
-    // worker count AND any shard count.
+    // worker count.
     for (size_t i = 0; i < mix.size(); ++i) {
       const sim::PruneReport& want =
           reference.at(sparql::CanonicalPatternKey(*mix[i].where));
@@ -357,8 +355,8 @@ int Run(int argc, char** argv) {
           reports[i].var_candidates != want.var_candidates) {
         std::fprintf(stderr,
                      "FATAL: query %zu differs from sequential at %zu "
-                     "workers, %zu shards\n",
-                     i, workers, shards);
+                     "workers\n",
+                     i, workers);
         std::abort();
       }
     }
@@ -366,7 +364,6 @@ int Run(int argc, char** argv) {
     sim::QueryService::Stats stats = service.stats();
     Sample s;
     s.workers = workers;
-    s.shards = shards;
     s.seconds = seconds;
     s.qps = seconds > 0 ? static_cast<double>(mix.size()) / seconds : 0.0;
     s.executed = stats.executed;
@@ -374,20 +371,14 @@ int Run(int argc, char** argv) {
     s.solution_hits = stats.cache.solution_hits;
     s.lru_evictions =
         stats.cache.soi_evictions + stats.cache.solution_evictions;
-    std::printf("  %-8zu %-7zu %10.5f %10.1f %9zu %10zu %10zu %9zu\n",
-                workers, shards, seconds, s.qps, s.executed, s.coalesced,
-                s.solution_hits, s.lru_evictions);
+    std::printf("  %-8zu %10.5f %10.1f %9zu %10zu %10zu %9zu\n", workers,
+                seconds, s.qps, s.executed, s.coalesced, s.solution_hits,
+                s.lru_evictions);
     return s;
   };
 
   std::vector<Sample> samples;
-  for (size_t workers : worker_counts) {
-    samples.push_back(run_sample(workers, /*shards=*/1));
-  }
-  // Shard axis: fixed worker count, column sharding of each fixpoint round.
-  for (size_t shards : {size_t{2}, size_t{4}}) {
-    samples.push_back(run_sample(/*workers=*/4, shards));
-  }
+  for (size_t workers : worker_counts) samples.push_back(run_sample(workers));
 
   std::printf("  steady: warmed service, solution cache off, repeated mix\n");
   SteadySample steady_on =
@@ -436,11 +427,10 @@ int Run(int argc, char** argv) {
   for (size_t i = 0; i < samples.size(); ++i) {
     const Sample& s = samples[i];
     std::fprintf(out,
-                 "%s\n    {\"workers\": %zu, \"shards\": %zu, "
-                 "\"seconds\": %.6f, "
+                 "%s\n    {\"workers\": %zu, \"seconds\": %.6f, "
                  "\"qps\": %.2f, \"executed\": %zu, \"coalesced\": %zu, "
                  "\"solution_hits\": %zu, \"lru_evictions\": %zu}",
-                 i == 0 ? "" : ",", s.workers, s.shards, s.seconds, s.qps,
+                 i == 0 ? "" : ",", s.workers, s.seconds, s.qps,
                  s.executed, s.coalesced, s.solution_hits, s.lru_evictions);
   }
   std::fprintf(out, "\n  ],\n");

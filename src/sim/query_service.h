@@ -28,8 +28,7 @@ struct QueryServiceOptions {
   /// Service worker threads executing whole queries (query-level
   /// parallelism); 0 = hardware concurrency. Intra-query parallelism is a
   /// separate knob: `solver.num_threads` (default 1 keeps each query on its
-  /// worker, the right shape for a loaded server). Column sharding of each
-  /// fixpoint round is a third, orthogonal knob: `solver.num_shards`.
+  /// worker, the right shape for a loaded server).
   size_t num_workers = 0;
 
   /// Max queries admitted but not yet completed. Submit blocks once the
@@ -97,7 +96,7 @@ struct SubmitOptions {
 /// pinned snapshot can still reach — rather than nuked on every write.
 ///
 /// Determinism: every query solves through a SimEngine whose results are
-/// bit-identical for any thread/shard count, and concurrent queries share
+/// bit-identical for any thread count, and concurrent queries share
 /// only immutable snapshots and the mutex-guarded SoiCache (whose contents
 /// never change a result, only whether it is recomputed). A concurrent
 /// submission mix therefore yields reports bit-identical to a sequential

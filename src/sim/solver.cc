@@ -1,14 +1,13 @@
 #include "sim/solver.h"
 
 #include <algorithm>
-#include <bit>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <numeric>
 
-#include "util/candidate_set.h"
 #include "util/counted_accumulator.h"
+#include "util/hierarchical_bitvector.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
 
@@ -48,12 +47,12 @@ enum class EvalKind : uint8_t {
 /// difference):
 ///
 ///  * Snapshot tier — every full row-wise evaluation keeps its product
-///    and the selection it was computed from (two bit-vector copies, a
-///    negligible premium over the Multiply itself). A re-evaluation with
-///    a small delta then *retracts*: only columns reachable from removed
-///    rows can leave the product, and each such column is re-checked with
-///    one early-exit cover probe against the current selection (row of
-///    A^T vs chi(rhs)).
+///    and the selection it was computed from (the product is computed in
+///    place; the selection copy is a negligible premium over the Multiply
+///    itself). A re-evaluation with a small delta then *retracts*: only
+///    columns reachable from removed rows can leave the product, and each
+///    such column is re-checked with one early-exit cover probe against
+///    the current selection (row of A^T vs chi(rhs)).
 ///  * Counted tier — an inequality that demonstrably iterates escalates
 ///    to a util::CountedAccumulator, whose per-column cover counts make
 ///    every retraction O(1) per touched column (no probes, GQ-Fast-style
@@ -96,68 +95,12 @@ constexpr size_t kAccBuildFraction = 8;
 /// and keep the plain removed-vs-full comparison).
 constexpr size_t kProbePenalty = 8;
 
-/// SolverOptions::KernelMode → the per-set representation policy.
-util::CandidateSet::Policy PolicyFor(SolverOptions::KernelMode mode) {
-  switch (mode) {
-    case SolverOptions::KernelMode::kDense:
-      return util::CandidateSet::Policy::kDense;
-    case SolverOptions::KernelMode::kCompressed:
-      return util::CandidateSet::Policy::kCompressed;
-    case SolverOptions::KernelMode::kAuto:
-      break;
-  }
-  return util::CandidateSet::Policy::kAuto;
-}
-
-/// What one inequality's shard tasks need from its plan step, beyond the
-/// EvalKind tag: which matrices to read, which chi set is the selection,
-/// and which incremental tier (if any) performs the data work. Written by
-/// plan(k), read by every shard_eval(k, s) of the same round.
-struct SlotPlan {
-  const util::BitMatrix* a = nullptr;
-  const util::BitMatrix* a_t = nullptr;
-  IneqState* st = nullptr;
-  uint32_t rhs = 0;
-  /// kDelta data work: 0 = none (bookkeeping-only sync), 1 = counted
-  /// retraction, 2 = snapshot probe, 3 = accumulator rebuild.
-  uint8_t delta_tier = 0;
-  /// Selection was materialized into the slot's flat view (compressed
-  /// chi(rhs), where per-shard Test/walk would re-scan the run stream).
-  bool use_view = false;
-  /// kRow under incremental_eval: copy the finished mask into the
-  /// snapshot-tier product after the shard barrier.
-  bool refresh_product = false;
-};
-
-/// fn(position) for every set bit of v in [begin, end); `begin` must be
-/// word-aligned and `end` word-aligned or == v.size(), so shard tasks may
-/// walk (and Reset bits in) disjoint ranges of one vector concurrently.
-template <typename Fn>
-void ForEachSetBitInRange(const util::BitVector& v, size_t begin, size_t end,
-                          Fn&& fn) {
-  const uint64_t* words = v.words();
-  const size_t word_begin = begin / util::BitVector::kWordBits;
-  const size_t word_end =
-      (end + util::BitVector::kWordBits - 1) / util::BitVector::kWordBits;
-  for (size_t w = word_begin; w < word_end; ++w) {
-    uint64_t bits = words[w];
-    while (bits != 0) {
-      const int bit = std::countr_zero(bits);
-      bits &= bits - 1;
-      fn(static_cast<uint32_t>(w * util::BitVector::kWordBits + bit));
-    }
-  }
-}
-
 }  // namespace
 
 /// Carried incremental state: the per-inequality tier vector of the last
-/// converged solve plus the shard shape it was built under (accumulator
-/// count lanes are wide iff the solve sharded, so a shard-shape change
-/// invalidates the whole carry).
+/// converged solve.
 struct IncrementalCarry::Impl {
   std::vector<IneqState> states;
-  size_t shards = 1;
 };
 
 IncrementalCarry::IncrementalCarry() = default;
@@ -190,7 +133,7 @@ struct SolveScratch::Impl {
   /// solve; credited to SolveStats::bytes_recycled on reuse.
   size_t payload_bytes = 0;
 
-  std::vector<util::CandidateSet> chi;
+  std::vector<util::HierarchicalBitVector> chi;
   std::vector<size_t> counts;
   std::vector<std::vector<uint32_t>> dependents;
   std::vector<uint32_t> order;
@@ -204,19 +147,15 @@ struct SolveScratch::Impl {
 
   /// Per-round slot vectors, lazily grown to the widest round seen.
   /// Recycled entries hold stale content by design: every slot a round
-  /// reads is fully written first (plans/kinds/rebuilt per slot in the
-  /// plan step; masks/views/gone overwritten whole by MaterializeInto,
-  /// copy-assign, or the write-what-you-clear MultiplyRange; cleared_ks
-  /// zeroed in the plan step for kDelta slots).
+  /// reads is fully written first (kinds/cleared/rebuilt at the top of
+  /// each evaluation; masks/gone overwritten whole by copy-assign or the
+  /// clearing Multiply).
   std::vector<util::BitVector> masks;
   std::vector<EvalKind> kinds;
   std::vector<const util::BitVector*> mask_ptrs;
   std::vector<size_t> cleared;
   std::vector<uint8_t> rebuilt;
-  std::vector<SlotPlan> plans;
-  std::vector<util::BitVector> views;
   std::vector<util::BitVector> gone;
-  std::vector<size_t> cleared_ks;
 };
 
 SolveScratch::SolveScratch() : impl_(std::make_unique<Impl>()) {}
@@ -261,7 +200,7 @@ ScratchPool::Stats ScratchPool::stats() const {
 }
 
 bool SolverOptions::EffectiveReuseScratch() const {
-  // Parsed once per process, like SPARQLSIM_FORCE_SHARDS: the env override
+  // Parsed once per process: the env override
   // lets CI re-run whole suites with recycling force-disabled (the
   // differential oracle configuration) without touching any options.
   static const bool env_disabled = [] {
@@ -269,49 +208,6 @@ bool SolverOptions::EffectiveReuseScratch() const {
     return env != nullptr && *env != '\0' && std::strcmp(env, "0") != 0;
   }();
   return reuse_scratch && !env_disabled;
-}
-
-size_t SolverOptions::ResolvedShards(size_t num_columns) const {
-  size_t shards = num_shards;
-  if (shards == 0) {
-    // Default comes from the environment override (CI's shard-determinism
-    // leg re-runs existing suites under SPARQLSIM_FORCE_SHARDS=3), parsed
-    // once; explicit num_shards values are never overridden, so
-    // differential configs stay exact.
-    static const size_t forced = [] {
-      const char* env = std::getenv("SPARQLSIM_FORCE_SHARDS");
-      if (env == nullptr || *env == '\0') return size_t{1};
-      char* end = nullptr;
-      const unsigned long long value = std::strtoull(env, &end, 10);
-      if (end == env || *end != '\0' || value == 0) return size_t{1};
-      return static_cast<size_t>(value);
-    }();
-    shards = forced;
-  }
-  const size_t words =
-      (num_columns + util::BitVector::kWordBits - 1) / util::BitVector::kWordBits;
-  return std::max<size_t>(1, std::min(shards, std::max<size_t>(1, words)));
-}
-
-std::vector<std::pair<uint32_t, uint32_t>> MakeShardPlan(size_t num_columns,
-                                                         size_t num_shards) {
-  const size_t words =
-      (num_columns + util::BitVector::kWordBits - 1) / util::BitVector::kWordBits;
-  const size_t shards =
-      std::max<size_t>(1, std::min(num_shards, std::max<size_t>(1, words)));
-  std::vector<std::pair<uint32_t, uint32_t>> plan;
-  plan.reserve(shards);
-  size_t word_begin = 0;
-  for (size_t s = 0; s < shards; ++s) {
-    const size_t count = words / shards + (s < words % shards ? 1 : 0);
-    const size_t begin = word_begin * util::BitVector::kWordBits;
-    const size_t end = std::min(
-        num_columns, (word_begin + count) * util::BitVector::kWordBits);
-    plan.emplace_back(static_cast<uint32_t>(begin),
-                      static_cast<uint32_t>(end));
-    word_begin += count;
-  }
-  return plan;
 }
 
 void SolveStats::Accumulate(const SolveStats& other) {
@@ -326,13 +222,9 @@ void SolveStats::Accumulate(const SolveStats& other) {
   acc_rebuilds += other.acc_rebuilds;
   cols_cleared += other.cols_cleared;
   blocks_skipped += other.blocks_skipped;
-  compressed_ops += other.compressed_ops;
-  repr_compressions += other.repr_compressions;
-  repr_decompressions += other.repr_decompressions;
   parallel_rounds += other.parallel_rounds;
   max_round_width = std::max(max_round_width, other.max_round_width);
   threads_used = std::max(threads_used, other.threads_used);
-  shards_used = std::max(shards_used, other.shards_used);
   scratch_reuses += other.scratch_reuses;
   scratch_allocs += other.scratch_allocs;
   bytes_recycled += other.bytes_recycled;
@@ -407,33 +299,36 @@ Solution SolveSoiWarm(const Soi& soi, const graph::GraphDatabase& db,
   const bool recycled = S.prepared && S.universe == n;
   bool grew = false;
 
-  // Candidate sets live behind the CandidateSet representation switch for
-  // the whole fixpoint: hierarchical-dense (zero-block skipping over the
-  // SIMD word kernels) or GAP/RLE-compressed per the kernel mode, with
-  // kAuto compressing sets as they collapse. Recycled sets are reset to
-  // fresh-constructed state (ResetForReuse is observationally a fresh
-  // ctor); flat vectors are copied into the Solution at the end.
-  const util::CandidateSet::Policy policy = PolicyFor(options.kernel_mode);
-  std::vector<util::CandidateSet>& chi = S.chi;
+  // Candidate sets are hierarchical bit-vectors for the whole fixpoint:
+  // zero-block skipping over the SIMD word kernels. Recycled sets are
+  // reset to the all-zero state of a fresh vector, paying only for the
+  // blocks the previous solve left live; flat vectors are copied into the
+  // Solution at the end.
+  std::vector<util::HierarchicalBitVector>& chi = S.chi;
   const size_t chi_ready = std::min(chi.size(), num_vars);
-  for (size_t v = 0; v < chi_ready; ++v) chi[v].ResetForReuse(n, policy);
+  for (size_t v = 0; v < chi_ready; ++v) chi[v].ResetForReuse(n);
   if (chi.size() < num_vars) {
     grew = true;
     chi.reserve(num_vars);
-    while (chi.size() < num_vars) chi.emplace_back(n, policy);
+    while (chi.size() < num_vars) chi.emplace_back(n);
   }
   S.counts.assign(num_vars, 0);
   std::vector<size_t>& counts = S.counts;
 
   // --- Initialization: Eq. (12) or Eq. (13), constants per Sect. 4.5. ---
+  // An empty set cannot shrink, so it skips the AND (and its block-skip
+  // accounting) outright.
+  auto narrow = [&](size_t v, const util::BitVector& mask) {
+    if (chi[v].Any()) chi[v].AndWith(mask);
+  };
   for (size_t v = 0; v < num_vars; ++v) {
     if (soi.unsatisfiable_vars[v]) continue;  // stays empty
     if (initial != nullptr) {
-      chi[v].ResetTo((*initial)[v], policy);
+      chi[v].AssignFrom((*initial)[v]);
       if (soi.constants[v]) {
         util::BitVector pin(n);
         pin.Set(*soi.constants[v]);
-        chi[v].AndWith(pin);
+        narrow(v, pin);
       }
       continue;
     }
@@ -450,8 +345,8 @@ Solution SolveSoiWarm(const Soi& soi, const graph::GraphDatabase& db,
         chi[e.object_var].ClearAll();
         continue;
       }
-      chi[e.subject_var].AndWith(db.ForwardSummary(e.predicate));
-      chi[e.object_var].AndWith(db.BackwardSummary(e.predicate));
+      narrow(e.subject_var, db.ForwardSummary(e.predicate));
+      narrow(e.object_var, db.BackwardSummary(e.predicate));
     }
   }
   for (size_t v = 0; v < num_vars; ++v) counts[v] = chi[v].Count();
@@ -542,22 +437,9 @@ Solution SolveSoiWarm(const Soi& soi, const graph::GraphDatabase& db,
     // configuration and must not survive into a later incremental solve.
     warm->carry->Clear();
   }
-
-  // --- Column-shard plan (SolverOptions::num_shards). --------------------
-  // The universe is cut into contiguous word-aligned ranges; each round's
-  // data work fans out as one task per (inequality, shard), every task
-  // writing only its range's words of the shared slots. The *decision*
-  // logic — eval kinds, cost rules, incremental-tier transitions — runs
-  // once per inequality in the plan step regardless of the partition, so
-  // trajectories are bit-identical for any shard count, 1 included (a
-  // 1-shard plan is a single full-universe range through the same code).
-  const std::vector<std::pair<uint32_t, uint32_t>> shard_plan =
-      MakeShardPlan(n, options.ResolvedShards(n));
-  const size_t num_shards = shard_plan.size();
-
   if (carry != nullptr && carry->impl_ != nullptr) {
     IncrementalCarry::Impl& held = *carry->impl_;
-    if (held.states.size() == num_matrix && held.shards == num_shards) {
+    if (held.states.size() == num_matrix) {
       inc_state = std::move(held.states);
       if (warm->carry_invalid != nullptr) {
         for (size_t i = 0; i < num_matrix; ++i) {
@@ -576,24 +458,14 @@ Solution SolveSoiWarm(const Soi& soi, const graph::GraphDatabase& db,
   // merge below replays the slots in worklist order for a scheduling-
   // independent outcome. `mask_ptrs[k]` designates the mask the merge
   // applies: the slot's own `masks[k]`, or the owning inequality's
-  // accumulator product (stable storage in `inc_state`, untouched during
-  // the merge).
-  // The slot arrays live in the scratch and keep whatever stale content
-  // the previous solve left: every round's plan step rewrites kinds[k],
-  // plans[k], and rebuilt[k] for each live slot before anything reads
-  // them, mask_ptrs[k] is only dereferenced for kinds that just wrote it,
-  // and the mask/view/gone payloads are fully overwritten by the kernels
-  // that claim them (MultiplyRange zeroes the words it is about to write;
-  // MaterializeInto and copy-assign overwrite wholesale).
+  // snapshot product or accumulator product (stable storage in
+  // `inc_state`, untouched during the merge).
   std::vector<util::BitVector>& masks = S.masks;
   std::vector<EvalKind>& kinds = S.kinds;
   std::vector<const util::BitVector*>& mask_ptrs = S.mask_ptrs;
-  std::vector<size_t>& cleared = S.cleared;  // kDelta-retraction clears
+  std::vector<size_t>& cleared = S.cleared;   // kDelta-retraction clears
   std::vector<uint8_t>& rebuilt = S.rebuilt;  // slot rebuilt an accumulator
-  std::vector<SlotPlan>& plans = S.plans;
-  std::vector<util::BitVector>& views = S.views;  // flat compressed chi(rhs)
   std::vector<util::BitVector>& gone = S.gone;  // rows gone from chi(rhs)
-  std::vector<size_t>& cleared_ks = S.cleared_ks;  // (slot, shard) clears
 
   auto on_change = [&](uint32_t var) {
     counts[var] = chi[var].Count();
@@ -605,21 +477,17 @@ Solution SolveSoiWarm(const Soi& soi, const graph::GraphDatabase& db,
     }
   };
 
-  // --- Plan step: one task per inequality. --------------------------------
-  // Replays the per-inequality decision logic exactly as the fused
-  // evaluator did (same tags, same counter splits, same incremental-state
-  // evolution), but defers all column-proportional data work to the shard
-  // tasks below. Mutates only slot k and the one IneqState this inequality
-  // owns this round, so plan tasks parallelize like evaluations always did.
-  auto plan = [&](size_t k) {
+  // --- Evaluation: one task per unstable inequality. ----------------------
+  // Writes only slot k and the one IneqState this inequality owns this
+  // round (each inequality appears at most once per round), so tasks run
+  // concurrently without synchronization.
+  auto evaluate = [&](size_t k) {
     rebuilt[k] = 0;
-    plans[k] = SlotPlan{};
-    SlotPlan& sp = plans[k];
+    cleared[k] = 0;
     const uint32_t idx = work.current[k];
     if (idx >= num_matrix) {
-      const Soi::SubIneq& s = soi.sub_ineqs[idx - num_matrix];
       kinds[k] = EvalKind::kSub;
-      chi[s.rhs].MaterializeInto(&masks[k]);
+      masks[k] = chi[soi.sub_ineqs[idx - num_matrix].rhs].bits();
       mask_ptrs[k] = &masks[k];
       return;
     }
@@ -638,9 +506,8 @@ Solution SolveSoiWarm(const Soi& soi, const graph::GraphDatabase& db,
         m.forward ? db.Forward(m.predicate) : db.Backward(m.predicate);
     const util::BitMatrix& a_t =
         m.forward ? db.Backward(m.predicate) : db.Forward(m.predicate);
-    sp.a = &a;
-    sp.a_t = &a_t;
-    sp.rhs = m.rhs;
+    const util::HierarchicalBitVector& sel = chi[m.rhs];
+    const size_t sel_count = counts[m.rhs];
 
     bool row_wise = true;
     switch (options.eval_mode) {
@@ -652,23 +519,12 @@ Solution SolveSoiWarm(const Soi& soi, const graph::GraphDatabase& db,
         break;
       case SolverOptions::EvalMode::kDynamic:
         // Paper's rule: row-wise iff chi(rhs) has fewer bits than chi(lhs).
-        row_wise = counts[m.rhs] < counts[m.lhs];
+        row_wise = sel_count < counts[m.lhs];
         break;
     }
 
-    // A compressed selection would make every shard re-scan the run
-    // stream (Test probes and wide-branch walks); flatten it once here
-    // instead, under the same conditions the fused kernels flattened.
-    auto prepare_view = [&](bool needed) {
-      if (needed && chi[m.rhs].compressed()) {
-        chi[m.rhs].MaterializeInto(&views[k]);
-        sp.use_view = true;
-      }
-    };
-
     if (options.incremental_eval) {
       IneqState& st = inc_state[idx];
-      sp.st = &st;
 
       // Cost rule, same flavor as the row/column dynamic rule: retract
       // iff the rows removed since the sync point are fewer than what the
@@ -676,8 +532,8 @@ Solution SolveSoiWarm(const Soi& soi, const graph::GraphDatabase& db,
       // removal count an exact count difference — no set difference is
       // needed to *decide*.
       if (st.acc_valid || st.product_valid) {
-        const size_t removed = st.last_count - counts[m.rhs];
-        const size_t full_cost = row_wise ? counts[m.rhs] : counts[m.lhs];
+        const size_t removed = st.last_count - sel_count;
+        const size_t full_cost = row_wise ? sel_count : counts[m.lhs];
         // Which tier (if any) evaluates this delta: the counted tier
         // whenever its counts are live; otherwise escalate from the
         // snapshot tier when the inequality keeps iterating on a
@@ -686,45 +542,43 @@ Solution SolveSoiWarm(const Soi& soi, const graph::GraphDatabase& db,
         const bool counted_ok = st.acc_valid && removed < full_cost;
         const bool escalate_ok = !st.acc_valid && removed < full_cost &&
                                  st.deltas_done >= kAccDeltaThreshold &&
-                                 counts[m.rhs] * kAccBuildFraction < n;
+                                 sel_count * kAccBuildFraction < n;
         const bool probe_ok =
             !st.acc_valid && !escalate_ok && removed * kProbePenalty < full_cost;
         if (counted_ok || escalate_ok || probe_ok) {
           kinds[k] = EvalKind::kDelta;
-          for (size_t s = 0; s < num_shards; ++s) {
-            cleared_ks[k * num_shards + s] = 0;
-          }
           if (st.deltas_done < kAccDeltaThreshold) ++st.deltas_done;
           if (escalate_ok) {
             // Build the cover counts on the current (collapsed)
             // selection; the build subsumes this retraction and makes
-            // every later one O(1) per column. The serial half
-            // (PrepareRebuild) runs here; the fill is sharded. Multi-shard
-            // rebuilds pin the wide count lanes — see PrepareRebuild.
+            // every later one O(1) per column.
             rebuilt[k] = 1;
-            sp.delta_tier = 3;
-            st.acc.PrepareRebuild(a.cols(), /*force_wide=*/num_shards > 1);
-            prepare_view(true);
+            st.acc.Rebuild(a, sel, sel_count);
             st.acc_valid = true;
             st.product_valid = false;
           } else if (removed != 0) {
             gone[k] = st.last_rhs;
-            chi[m.rhs].ClearBitsIn(&gone[k]);
+            gone[k].AndNotWith(sel.bits());
             if (st.acc_valid) {
-              sp.delta_tier = 1;
+              cleared[k] = st.acc.Retract(a, gone[k]);
             } else {
               // Snapshot tier: only columns of removed rows can leave the
               // product; each is re-checked with one early-exit cover
-              // probe in the shard tasks. Probes hit Test() per
-              // neighbour, a stream scan on a compressed set, so pay one
-              // O(n/64) materialization up front instead.
-              sp.delta_tier = 2;
-              prepare_view(true);
+              // probe against the current selection.
+              gone[k].ForEachSetBit([&](uint32_t r) {
+                for (uint32_t c : a.Row(r)) {
+                  if (st.product.Test(c) &&
+                      !a_t.RowIntersects(c, sel.bits())) {
+                    st.product.Reset(c);
+                    ++cleared[k];
+                  }
+                }
+              });
             }
           }
           if (removed != 0 || rebuilt[k]) {
-            chi[m.rhs].MaterializeInto(&st.last_rhs);
-            st.last_count = counts[m.rhs];
+            st.last_rhs = sel.bits();
+            st.last_count = sel_count;
           }
           // Either tier's product equals chi(rhs) *b A exactly — the same
           // mask a full kRow evaluation would produce.
@@ -734,20 +588,18 @@ Solution SolveSoiWarm(const Soi& soi, const graph::GraphDatabase& db,
       }
 
       if (row_wise) {
-        // Full product; the snapshot tier is refreshed from the finished
-        // mask after the shard barrier (refresh_product) so the next
-        // visit can retract. The copies are a negligible premium over
-        // the Multiply itself, and a stale counted tier is dropped (its
-        // counts no longer match any snapshot we keep).
+        // Full product, written straight into the snapshot tier so the
+        // next visit can retract; the selection copy is a negligible
+        // premium over the Multiply itself, and a stale counted tier is
+        // dropped (its counts no longer match any snapshot we keep).
         kinds[k] = EvalKind::kRow;
-        masks[k].Resize(n);
-        prepare_view(counts[m.rhs] * 8 >= a.NonEmptyRows().size());
-        sp.refresh_product = true;
-        chi[m.rhs].MaterializeInto(&st.last_rhs);
-        st.last_count = counts[m.rhs];
+        st.product.Resize(n);
+        a.Multiply(sel, sel_count, &st.product);
+        st.last_rhs = sel.bits();
+        st.last_count = sel_count;
         st.product_valid = true;
         st.acc_valid = false;
-        mask_ptrs[k] = &masks[k];
+        mask_ptrs[k] = &st.product;
         return;
       }
     }
@@ -755,85 +607,27 @@ Solution SolveSoiWarm(const Soi& soi, const graph::GraphDatabase& db,
     if (row_wise) {
       kinds[k] = EvalKind::kRow;
       masks[k].Resize(n);
-      // Same flatten rule as BitMatrix::Multiply's CandidateSet overload:
-      // only the wide branch probes Test per non-empty row.
-      prepare_view(counts[m.rhs] * 8 >= a.NonEmptyRows().size());
-      mask_ptrs[k] = &masks[k];
+      a.Multiply(sel, sel_count, &masks[k]);
     } else {
       kinds[k] = EvalKind::kCol;
       // Keep candidate j of lhs iff column j of A intersects chi(rhs);
       // column j of A is row j of A^T.
-      chi[m.lhs].MaterializeInto(&masks[k]);
-      prepare_view(true);
-      mask_ptrs[k] = &masks[k];
+      masks[k] = chi[m.lhs].bits();
+      chi[m.lhs].ForEachSetBit([&](uint32_t j) {
+        if (!a_t.RowIntersects(j, sel.bits())) masks[k].Reset(j);
+      });
     }
+    mask_ptrs[k] = &masks[k];
   };
 
-  // --- Data step: one task per (inequality, shard). -----------------------
-  // Pure column-range-restricted data work, driven entirely by the plan:
-  // each task reads round-start state plus its slot's plan and writes only
-  // its own words of the slot's mask / the owning accumulator / the
-  // snapshot product, plus its own cleared_ks counter — disjoint memory
-  // across shards, no synchronization beyond the phase barrier.
-  auto shard_eval = [&](size_t k, size_t s) {
-    const auto [range_begin, range_end] = shard_plan[s];
-    const SlotPlan& sp = plans[k];
-    switch (kinds[k]) {
-      case EvalKind::kRow:
-        if (sp.use_view) {
-          sp.a->MultiplyRange(views[k], range_begin, range_end, &masks[k]);
-        } else {
-          sp.a->MultiplyRange(chi[sp.rhs], range_begin, range_end, &masks[k]);
-        }
-        break;
-      case EvalKind::kCol:
-        ForEachSetBitInRange(masks[k], range_begin, range_end, [&](uint32_t j) {
-          const bool covered =
-              sp.use_view ? sp.a_t->RowIntersectsAny(j, views[k])
-                          : sp.a_t->RowIntersectsAny(j, chi[sp.rhs]);
-          if (!covered) masks[k].Reset(j);
-        });
-        break;
-      case EvalKind::kDelta: {
-        IneqState& st = *sp.st;
-        if (sp.delta_tier == 3) {
-          if (sp.use_view) {
-            st.acc.RebuildRange(*sp.a, views[k], range_begin, range_end);
-          } else {
-            st.acc.RebuildRange(*sp.a, chi[sp.rhs], range_begin, range_end);
-          }
-        } else if (sp.delta_tier == 1) {
-          cleared_ks[k * num_shards + s] =
-              st.acc.RetractRange(*sp.a, gone[k], range_begin, range_end);
-        } else if (sp.delta_tier == 2) {
-          size_t probe_cleared = 0;
-          gone[k].ForEachSetBit([&](uint32_t r) {
-            const auto row = sp.a->Row(r);
-            auto it = std::lower_bound(row.begin(), row.end(),
-                                       static_cast<uint32_t>(range_begin));
-            for (; it != row.end() && *it < range_end; ++it) {
-              const uint32_t c = *it;
-              if (st.product.Test(c) &&
-                  !(sp.use_view ? sp.a_t->RowIntersectsAny(c, views[k])
-                                : sp.a_t->RowIntersectsAny(c, chi[sp.rhs]))) {
-                st.product.Reset(c);
-                ++probe_cleared;
-              }
-            }
-          });
-          cleared_ks[k * num_shards + s] = probe_cleared;
-        }
-        break;
-      }
-      case EvalKind::kSkip:
-      case EvalKind::kClear:
-      case EvalKind::kSub:
-        break;  // no data phase
-    }
+  // Merge-phase AND. A set an earlier merge of this round already drained
+  // cannot shrink further, so it skips the kernel (and its block-skip
+  // accounting), like the initialization does.
+  auto apply_mask = [&](uint32_t lhs, size_t k) {
+    return counts[lhs] != 0 && chi[lhs].AndWith(*mask_ptrs[k]);
   };
 
   stats.threads_used = pool != nullptr ? pool->NumThreads() : 1;
-  stats.shards_used = num_shards;
   while (!work.current.empty()) {
     if (options.max_rounds != 0 && stats.rounds >= options.max_rounds) {
       solution.truncated = true;
@@ -856,52 +650,20 @@ Solution SolveSoiWarm(const Soi& soi, const graph::GraphDatabase& db,
       mask_ptrs.resize(width);
       cleared.resize(width);
       rebuilt.resize(width);
-      plans.resize(width);
-      views.resize(width);
       gone.resize(width);
-    }
-    if (cleared_ks.size() < width * num_shards) {
-      grew = true;
-      cleared_ks.resize(width * num_shards);
     }
 
     // Evaluation phase: chi/counts are read-only until the barrier.
-    if (pool == nullptr || width * num_shards <= 1) {
-      for (size_t k = 0; k < width; ++k) {
-        plan(k);
-        for (size_t s = 0; s < num_shards; ++s) shard_eval(k, s);
-      }
-    } else if (num_shards == 1) {
-      // Unsharded pooled rounds keep the historical one-barrier shape:
-      // plan and data work fused per inequality.
-      if (width > 1) ++stats.parallel_rounds;
-      util::ParallelFor(pool, width, [&](size_t k) {
-        plan(k);
-        shard_eval(k, 0);
-      });
+    if (pool == nullptr || width <= 1) {
+      for (size_t k = 0; k < width; ++k) evaluate(k);
     } else {
-      // Sharded rounds: plan per inequality, then fan the data work out
-      // as width x shards range tasks. Each phase writes per-task-disjoint
-      // memory; the second phase additionally splits along columns.
-      if (width > 1) ++stats.parallel_rounds;
-      util::ParallelFor(pool, width, plan);
-      util::ParallelFor(pool, width * num_shards, [&](size_t t) {
-        shard_eval(t / num_shards, t % num_shards);
-      });
+      ++stats.parallel_rounds;
+      util::ParallelFor(pool, width, evaluate);
     }
 
     // Merge phase, single-threaded, in worklist order.
     for (size_t k = 0; k < width; ++k) {
       ++stats.evaluations;
-      if (kinds[k] == EvalKind::kRow && plans[k].refresh_product) {
-        plans[k].st->product = masks[k];
-      }
-      if (kinds[k] == EvalKind::kDelta) {
-        cleared[k] = 0;
-        for (size_t s = 0; s < num_shards; ++s) {
-          cleared[k] += cleared_ks[k * num_shards + s];
-        }
-      }
       const uint32_t idx = work.current[k];
       const uint32_t lhs = idx >= num_matrix
                                ? soi.sub_ineqs[idx - num_matrix].lhs
@@ -913,28 +675,28 @@ Solution SolveSoiWarm(const Soi& soi, const graph::GraphDatabase& db,
           continue;
         case EvalKind::kClear:
           ++stats.full_evals;
-          changed = chi[lhs].Any();
+          changed = counts[lhs] != 0;
           if (changed) chi[lhs].ClearAll();
           break;
         case EvalKind::kRow:
           ++stats.full_evals;
           ++stats.row_evals;
-          changed = chi[lhs].AndWith(*mask_ptrs[k]);
+          changed = apply_mask(lhs, k);
           break;
         case EvalKind::kCol:
           ++stats.full_evals;
           ++stats.col_evals;
-          changed = chi[lhs].AndWith(*mask_ptrs[k]);
+          changed = apply_mask(lhs, k);
           break;
         case EvalKind::kSub:
           ++stats.full_evals;
-          changed = chi[lhs].AndWith(*mask_ptrs[k]);
+          changed = apply_mask(lhs, k);
           break;
         case EvalKind::kDelta:
           ++stats.delta_evals;
           stats.acc_rebuilds += rebuilt[k];
           stats.cols_cleared += cleared[k];
-          changed = chi[lhs].AndWith(*mask_ptrs[k]);
+          changed = apply_mask(lhs, k);
           break;
       }
       if (changed) {
@@ -956,20 +718,15 @@ Solution SolveSoiWarm(const Soi& soi, const graph::GraphDatabase& db,
   if (carry != nullptr && !solution.truncated) {
     carry->impl_ = std::make_unique<IncrementalCarry::Impl>();
     carry->impl_->states = std::move(inc_state);
-    carry->impl_->shards = num_shards;
   }
 
-  // Export the flat candidate vectors; harvest the representation-layer
-  // counters first. MaterializeInto (not TakeBits) so chi keeps its
-  // summary/run structure for the next solve on this scratch.
+  // Export the flat candidate vectors; harvest the kernel counters first.
+  // Copies (not TakeBits) so chi keeps its storage and summary for the
+  // next solve on this scratch.
   for (size_t v = 0; v < num_vars; ++v) {
-    const util::CandidateSet::ReprStats repr = chi[v].TakeStats();
-    stats.blocks_skipped += repr.blocks_skipped;
-    stats.compressed_ops += repr.compressed_ops;
-    stats.repr_compressions += repr.compressions;
-    stats.repr_decompressions += repr.decompressions;
-    stats.words_cleared_sparse += repr.words_cleared;
-    chi[v].MaterializeInto(&solution.candidates[v]);
+    stats.blocks_skipped += chi[v].TakeBlocksSkipped();
+    stats.words_cleared_sparse += chi[v].TakeWordsCleared();
+    solution.candidates[v] = chi[v].bits();
   }
 
   // Scratch accounting, stamped at solve end so slot growth during the
@@ -982,22 +739,16 @@ Solution SolveSoiWarm(const Soi& soi, const graph::GraphDatabase& db,
   } else {
     stats.scratch_allocs = 1;
   }
-  size_t payload = work.queued.WordCount() * sizeof(uint64_t);
-  for (const util::CandidateSet& c : chi) payload += c.PayloadBytes();
-  for (const util::BitVector& m : masks) {
-    payload += m.WordCount() * sizeof(uint64_t);
+  size_t payload = work.queued.WordCount();
+  for (const util::HierarchicalBitVector& c : chi) {
+    payload += c.bits().WordCount();
   }
-  for (const util::BitVector& v : views) {
-    payload += v.WordCount() * sizeof(uint64_t);
-  }
-  for (const util::BitVector& g : gone) {
-    payload += g.WordCount() * sizeof(uint64_t);
-  }
+  for (const util::BitVector& m : masks) payload += m.WordCount();
+  for (const util::BitVector& g : gone) payload += g.WordCount();
   for (const IneqState& st : S.ineq_state) {
-    payload +=
-        (st.product.WordCount() + st.last_rhs.WordCount()) * sizeof(uint64_t);
+    payload += st.product.WordCount() + st.last_rhs.WordCount();
   }
-  S.payload_bytes = payload;
+  S.payload_bytes = payload * sizeof(uint64_t);
   S.universe = n;
   S.prepared = true;
 

@@ -7,7 +7,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "graph/graph_database.h"
@@ -53,39 +52,8 @@ struct SolverOptions {
   /// never pay the O(cols) counter memory.
   bool incremental_eval = true;
 
-  /// Candidate-set representation kernel (util::CandidateSet policy).
-  /// kDense pins every chi(v) to the hierarchical dense layout — the
-  /// scalar-dense path is the differential oracle the other modes are
-  /// verified against. kCompressed forces the GAP/RLE run-list layout.
-  /// kAuto switches per set by occupancy with hysteresis. Solutions,
-  /// fixpoint trajectories, and the semantic counters (rounds,
-  /// evaluations, updates, eval-kind splits) are bit-identical across all
-  /// three — only wall-clock and the representation counters differ.
-  enum class KernelMode { kAuto, kDense, kCompressed };
-  KernelMode kernel_mode = KernelMode::kAuto;
-
   /// Safety valve for experiments; 0 means no limit.
   size_t max_rounds = 0;
-
-  /// Column-range sharding of the evaluation phase: the node universe is
-  /// partitioned into this many contiguous word-aligned column ranges
-  /// (MakeShardPlan) and every inequality's mask is computed as one task
-  /// per (inequality, shard) — each shard solves the system restricted to
-  /// its candidate columns, writing only its own words of the shared mask
-  /// slots. The per-shard results meet at the existing single-writer merge
-  /// point, and because the decision logic (eval kinds, cost rules,
-  /// incremental-tier transitions) runs once per inequality regardless of
-  /// the partition, solutions, fixpoint trajectories, and every semantic
-  /// counter are bit-identical for any shard count — sharding is purely a
-  /// wall-clock knob, like num_threads, but slicing *within* an inequality
-  /// instead of across them (narrow rounds with huge candidate sets is
-  /// exactly where num_threads runs out of work).
-  ///
-  /// 0 means "default": the SPARQLSIM_FORCE_SHARDS environment variable if
-  /// set (CI's shard-determinism leg), else 1. Explicit values are never
-  /// overridden by the environment. ResolvedShards clamps so no shard is
-  /// empty.
-  size_t num_shards = 0;
 
   /// Worker threads for the solving path: per-round parallel inequality
   /// evaluation and (through SimEngine) concurrent union-free branches.
@@ -125,28 +93,14 @@ struct SolverOptions {
   bool reuse_scratch = true;
 
   /// `reuse_scratch` with the SPARQLSIM_NO_SCRATCH override applied (the
-  /// environment is parsed once per process, like SPARQLSIM_FORCE_SHARDS).
+  /// environment is parsed once per process).
   bool EffectiveReuseScratch() const;
 
   /// `num_threads` with the 0-means-hardware convention applied.
   size_t ResolvedThreads() const {
     return util::ThreadPool::ResolveThreadCount(num_threads);
   }
-
-  /// `num_shards` with the 0-means-default convention applied and clamped
-  /// so every shard covers at least one 64-bit word of an `num_columns`
-  /// universe (always >= 1).
-  size_t ResolvedShards(size_t num_columns) const;
 };
-
-/// Contiguous word-aligned [begin, end) column ranges covering
-/// [0, num_columns): every boundary except the last is a multiple of 64,
-/// so ranges touch disjoint words of any output bit-vector and shard
-/// tasks may fill one vector concurrently. At most
-/// ceil(num_columns / 64) non-empty ranges are returned (requesting more
-/// shards yields fewer); num_columns == 0 yields one empty range.
-std::vector<std::pair<uint32_t, uint32_t>> MakeShardPlan(size_t num_columns,
-                                                         size_t num_shards);
 
 /// Per-solve cooperative control, checked at fixpoint round boundaries
 /// (and between union-free branches in SimEngine). Expiry or cancellation
@@ -202,26 +156,13 @@ struct SolveStats {
   /// grows as candidate sets collapse.
   size_t blocks_skipped = 0;
 
-  /// Representation-layer counters (SolverOptions::kernel_mode). Kernel
-  /// executions performed directly on GAP/RLE-compressed candidate sets
-  /// (ANDs and drains that never inflated to words), and layout switches
-  /// either way. Representation-dependent by definition — they differ
-  /// across kernel modes while the semantic counters above stay identical.
-  size_t compressed_ops = 0;
-  size_t repr_compressions = 0;
-  size_t repr_decompressions = 0;
-
   /// Per-round parallelism counters: rounds whose evaluation phase ran on a
   /// thread pool, the widest round (unstable inequalities evaluated
   /// together — the available per-round parallelism), and the executor count
   /// the solve ran with (pool workers, or 1 for inline solves).
-  /// `shards_used` is the resolved column-shard count
-  /// (SolverOptions::num_shards); scheduling-dependent like threads_used,
-  /// never part of a trajectory comparison.
   size_t parallel_rounds = 0;
   size_t max_round_width = 0;
   size_t threads_used = 1;
-  size_t shards_used = 1;
 
   /// Scratch-recycling counters (SolverOptions::reuse_scratch).
   /// `scratch_reuses` is 1 when this solve ran entirely on a recycled
@@ -233,7 +174,7 @@ struct SolveStats {
   /// footprint (the malloc+memset traffic avoided); `words_cleared_sparse`
   /// counts the payload words the summary-guided sparse clears actually
   /// zeroed while wiping recycled buffers. Like threads_used these are
-  /// scheduling/representation counters: exempt from trajectory
+  /// scheduling/allocation counters: exempt from trajectory
   /// comparisons, which assert the semantic counters above instead.
   size_t scratch_reuses = 0;
   size_t scratch_allocs = 0;
@@ -295,16 +236,16 @@ class IncrementalCarry {
 };
 
 /// One recyclable solve workspace: the chi candidate sets, per-inequality
-/// eval masks and plans, the worklist, the incremental IneqState array
-/// (snapshot products, last-rhs vectors, counted accumulators), and the
-/// shard-lane/delta buffers — everything SolveSoiWarm would otherwise
-/// allocate per call. A scratch is keyed by the node-universe width it was
-/// last prepared for: a solve on the same universe recycles every buffer
-/// (wiping them with the summary-guided sparse clears), any other solve
-/// reshapes in place and counts a scratch_alloc. A recycled workspace is
-/// observationally indistinguishable from a fresh one — solutions,
-/// PruneReports, and fixpoint trajectories are bit-identical with and
-/// without recycling (the pool differential suites assert exactly that).
+/// eval masks, the worklist, the incremental IneqState array (snapshot
+/// products, last-rhs vectors, counted accumulators), and the delta
+/// buffers — everything SolveSoiWarm would otherwise allocate per call. A
+/// scratch is keyed by the node-universe width it was last prepared for:
+/// a solve on the same universe recycles every buffer (wiping them with
+/// the summary-guided sparse clears), any other solve reshapes in place
+/// and counts a scratch_alloc. A recycled workspace is observationally
+/// indistinguishable from a fresh one — solutions, PruneReports, and
+/// fixpoint trajectories are bit-identical with and without recycling
+/// (the pool differential suites assert exactly that).
 ///
 /// Carry-ownership rule: when a solve is handed an IncrementalCarry (the
 /// StandingQuery path), its IneqState array lives in a solve-local vector
@@ -391,9 +332,7 @@ struct WarmStart {
   const std::vector<bool>* armed = nullptr;
   /// Incremental state carried from the previous converged solve of the
   /// same Soi; may be null. Ignored — and cleared — when
-  /// options.incremental_eval is off, and whenever the resolved shard
-  /// count changed since the state was deposited (accumulator count lanes
-  /// are shard-shape-dependent).
+  /// options.incremental_eval is off.
   IncrementalCarry* carry = nullptr;
   /// Per-matrix-inequality staleness for `carry` (sized
   /// matrix_ineqs.size()): true = drop the carried entry — its matrix

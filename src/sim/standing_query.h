@@ -28,7 +28,7 @@ struct TripleDelta {
 };
 
 struct StandingQueryOptions {
-  /// Per-solve policy (threads, shards, kernels, incremental tiers). The
+  /// Per-solve policy (threads, incremental tiers, scratch reuse). The
   /// cache toggles are ignored — a standing query *is* its own cache: it
   /// holds the converged solution and incremental state per branch.
   SolverOptions solver;
@@ -112,8 +112,8 @@ struct StandingStats {
 /// Correctness bar (held by tests/standing_query_test.cc): after every
 /// applied delta the maintained solution, kept-triple set, and
 /// per-variable candidates are bit-identical to a cold
-/// SimEngine::Prune on the post-delta snapshot — for every policy,
-/// thread, shard, and kernel configuration.
+/// SimEngine::Prune on the post-delta snapshot — for every policy and
+/// thread count.
 ///
 /// Not thread-safe: one writer at a time (QueryService::Subscribe wraps a
 /// StandingQuery in a mutex and drives it from the publish path).

@@ -4,6 +4,7 @@
 #include <map>
 #include <optional>
 #include <sstream>
+#include <string>
 
 namespace sparqlsim::sparql {
 
@@ -254,7 +255,20 @@ class ParserImpl {
     return util::Status::Ok();
   }
 
+  /// Every group — nested, OPTIONAL or UNION arm — recurses through here,
+  /// so this is the one place the nesting depth is bounded.
   util::Result<std::unique_ptr<Pattern>> ParseGroup() {
+    if (depth_ == Parser::kMaxGroupDepth) {
+      return Fail("groups nested deeper than " +
+                  std::to_string(Parser::kMaxGroupDepth));
+    }
+    ++depth_;
+    auto group = ParseGroupBody();
+    --depth_;
+    return group;
+  }
+
+  util::Result<std::unique_ptr<Pattern>> ParseGroupBody() {
     if (!PeekPunct("{")) return Fail("expected '{'");
     Advance();
 
@@ -397,6 +411,7 @@ class ParserImpl {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  size_t depth_ = 0;  // groups currently open in ParseGroup
   std::map<std::string, std::string> prefixes_;
 };
 

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <string_view>
 
 #include "sparql/ast.h"
@@ -24,8 +25,15 @@ namespace sparqlsim::sparql {
 /// SPARQL algebra translation. Predicate positions must be IRIs (the
 /// paper's graph model has a fixed edge-label alphabet, Sect. 2), so a
 /// variable predicate is a parse error.
+///
+/// Groups nest at most kMaxGroupDepth deep (the WHERE group is depth 1;
+/// every nested, OPTIONAL and UNION group adds one). Deeper input is a
+/// parse error rather than unbounded recursion, so a hostile query cannot
+/// exhaust the stack.
 class Parser {
  public:
+  static constexpr size_t kMaxGroupDepth = 256;
+
   /// Parses a full SELECT query.
   static util::Result<Query> Parse(std::string_view text);
 

@@ -10,7 +10,6 @@
 
 namespace sparqlsim::util {
 
-class CandidateSet;
 class HierarchicalBitVector;
 
 /// A boolean matrix in sparse-row-indexed CSR form.
@@ -78,48 +77,19 @@ class BitMatrix {
   /// `out` must have size cols(); it is cleared first.
   void Multiply(const BitVector& x, BitVector* out) const;
 
-  /// Same product for a hierarchical selector: Count and the set-bit walk
-  /// skip x's zero blocks, so sparse selections (late fixpoint rounds)
-  /// cost O(live blocks + selected nnz) instead of O(universe/64).
+  /// Same product for a hierarchical selector: the set-bit walk skips x's
+  /// zero blocks, so sparse selections (late fixpoint rounds) cost
+  /// O(live blocks + selected nnz) instead of O(universe/64). `x_count`
+  /// must equal x.Count(); it picks the row walk, and the solver passes
+  /// its cached candidate count so a product never pays a popcount.
   /// Output is bit-identical to the BitVector overload.
-  void Multiply(const HierarchicalBitVector& x, BitVector* out) const;
-
-  /// Same product for a representation-switching selector: compressed
-  /// selectors stream their runs (never inflated to words), dense ones
-  /// take the hierarchical path. Output is bit-identical to both.
-  void Multiply(const CandidateSet& x, BitVector* out) const;
-
-  /// Column-range-restricted product: writes the bits of x *b this that
-  /// fall in [col_begin, col_end) into the matching positions of `out`
-  /// (sized cols()), leaving every other *word* of `out` untouched.
-  /// `col_begin` must be a multiple of BitVector::kWordBits and `col_end`
-  /// word-aligned or == cols(), so only the words covering the range are
-  /// written — disjoint word-aligned ranges of one output vector may then
-  /// be filled concurrently (the solver's shard lanes do exactly that).
-  /// The union over a partition of [0, cols()) is bit-identical to
-  /// Multiply(); rows exploit the per-row column sort to enter at
-  /// lower_bound(col_begin) instead of scanning from the front.
-  void MultiplyRange(const BitVector& x, size_t col_begin, size_t col_end,
-                     BitVector* out) const;
-  void MultiplyRange(const HierarchicalBitVector& x, size_t col_begin,
-                     size_t col_end, BitVector* out) const;
-  void MultiplyRange(const CandidateSet& x, size_t col_begin, size_t col_end,
-                     BitVector* out) const;
+  void Multiply(const HierarchicalBitVector& x, size_t x_count,
+                BitVector* out) const;
 
   /// True iff row r and the dense vector y share a set bit; this is the
   /// single-pair existence check of Eq. (4), used for column-wise evaluation
   /// and by the baseline algorithms.
   bool RowIntersects(size_t r, const BitVector& y) const;
-
-  /// RowIntersects for any selector exposing Test(size_t) — the chi sets
-  /// behind the CandidateSet layer in particular.
-  template <typename SetT>
-  bool RowIntersectsAny(size_t r, const SetT& y) const {
-    for (uint32_t c : Row(r)) {
-      if (y.Test(c)) return true;
-    }
-    return false;
-  }
 
   /// Dense summary with bit r set iff row r is non-empty. For a forward
   /// matrix F_a this is the vector f^a of Eq. (13).
@@ -140,18 +110,13 @@ class BitMatrix {
 
  private:
   /// Shared body of the two Multiply overloads: `SelT` is BitVector or
-  /// HierarchicalBitVector (Count/ForEachSetBit/Test over row indices).
+  /// HierarchicalBitVector (ForEachSetBit/Test over row indices).
   /// Instantiated in bitmatrix.cc, where both selector types are complete.
   template <typename SelT>
-  void MultiplyImpl(const SelT& x, BitVector* out) const {
-    // The full ClearAll is fine here: every Multiply caller is a cold
-    // path (the solution validator, tests, microbenches). The solver's
-    // hot loop always goes through MultiplyRange — even its unsharded
-    // shape is one full-width range — which zeroes only the words it is
-    // about to write, so recycled scratch masks never pay an
-    // O(universe/64) fill per evaluation.
+  void MultiplyImpl(const SelT& x, size_t selected, BitVector* out) const {
+    // Clearing the whole destination is what lets the solver hand in a
+    // recycled, dirty scratch mask.
     out->ClearAll();
-    size_t selected = x.Count();
     // Iterate whichever index is smaller: the set bits of x (with a row
     // lookup each) or the non-empty row list (with a bit test each).
     if (selected * 8 < rows_index_.size()) {
@@ -165,39 +130,6 @@ class BitMatrix {
              ++i) {
           out->Set(cols_index_[i]);
         }
-      }
-    }
-  }
-
-  /// Shared body of the MultiplyRange overloads: zeroes the destination
-  /// words covering [col_begin, col_end), then unions the in-range slice
-  /// of every selected row via a per-row lower_bound entry point. Same
-  /// adaptive row-walk rule as MultiplyImpl — deliberately keyed on the
-  /// *whole* selection size, not the per-range share, so every range of a
-  /// partition walks rows the same way and their union replays Multiply
-  /// bit for bit. Zeroing exactly the words it writes (rather than
-  /// ClearAll on the destination) is also what makes recycled scratch
-  /// masks free to reuse: stale content outside the union of ranges is
-  /// never read, stale content inside is overwritten.
-  template <typename SelT>
-  void MultiplyRangeImpl(const SelT& x, size_t col_begin, size_t col_end,
-                         BitVector* out) const {
-    uint64_t* words = out->mutable_words();
-    const size_t word_begin = col_begin / BitVector::kWordBits;
-    const size_t word_end =
-        (col_end + BitVector::kWordBits - 1) / BitVector::kWordBits;
-    for (size_t w = word_begin; w < word_end; ++w) words[w] = 0;
-    auto add_row_range = [&](std::span<const uint32_t> row) {
-      auto it = std::lower_bound(row.begin(), row.end(),
-                                 static_cast<uint32_t>(col_begin));
-      for (; it != row.end() && *it < col_end; ++it) out->Set(*it);
-    };
-    if (x.Count() * 8 < rows_index_.size()) {
-      x.ForEachSetBit([&](uint32_t r) { add_row_range(Row(r)); });
-    } else {
-      for (size_t slot = 0; slot < rows_index_.size(); ++slot) {
-        if (!x.Test(rows_index_[slot])) continue;
-        add_row_range(RowBySlot(slot));
       }
     }
   }

@@ -74,25 +74,6 @@ void BitVector::SetRange(size_t begin, size_t len) {
   words_[w_last] |= last_mask;
 }
 
-void BitVector::ClearRange(size_t begin, size_t len) {
-  if (len == 0) return;
-  assert(begin + len <= num_bits_);
-  const size_t end = begin + len;  // exclusive
-  size_t w = begin / kWordBits;
-  const size_t w_last = (end - 1) / kWordBits;
-  const uint64_t first_mask = ~uint64_t{0} << (begin % kWordBits);
-  const uint64_t last_mask =
-      end % kWordBits == 0 ? ~uint64_t{0}
-                           : (uint64_t{1} << (end % kWordBits)) - 1;
-  if (w == w_last) {
-    words_[w] &= ~(first_mask & last_mask);
-    return;
-  }
-  words_[w] &= ~first_mask;
-  for (++w; w < w_last; ++w) words_[w] = 0;
-  words_[w_last] &= ~last_mask;
-}
-
 void BitVector::SetAll() {
   std::fill(words_.begin(), words_.end(), ~uint64_t{0});
   MaskTail();

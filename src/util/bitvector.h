@@ -45,13 +45,8 @@ class BitVector {
   bool Test(size_t i) const;
 
   /// Sets the `len` bits starting at `begin` (word-filled, not per-bit);
-  /// the run materialization path of the gap-compressed representation.
+  /// the run materialization path of GapCodec::Decode.
   void SetRange(size_t begin, size_t len);
-
-  /// Clears the `len` bits starting at `begin` (word-filled). Together
-  /// with SetRange this lets a run-encoded source overwrite a recycled
-  /// destination in a single pass, without a full ClearAll first.
-  void ClearRange(size_t begin, size_t len);
 
   /// Sets all bits to one / zero.
   void SetAll();

@@ -1,30 +1,8 @@
 #include "util/counted_accumulator.h"
 
-#include <algorithm>
 #include <cassert>
 
 namespace sparqlsim::util {
-
-void CountedAccumulator::PrepareRebuild(size_t cols, bool force_wide) {
-  const bool sized =
-      wide_ ? counts32_.size() == cols : counts16_.size() == cols;
-  if (!sized || (force_wide && !wide_)) {
-    counts16_.clear();
-    counts16_.shrink_to_fit();
-    counts32_.clear();
-    counts32_.shrink_to_fit();
-    wide_ = force_wide;
-    if (force_wide) {
-      counts32_.assign(cols, 0);
-    } else {
-      counts16_.assign(cols, 0);
-    }
-    result_.Resize(cols);
-    result_.ClearAll();
-    return;
-  }
-  WipeLive();
-}
 
 void CountedAccumulator::WipeLive() {
   uint64_t* words = result_.mutable_words();
@@ -47,25 +25,6 @@ void CountedAccumulator::WipeLive() {
     }
     words[w] = 0;
   }
-}
-
-size_t CountedAccumulator::RetractRange(const BitMatrix& a,
-                                        const BitVector& removed,
-                                        size_t col_begin, size_t col_end) {
-  size_t cleared = 0;
-  removed.ForEachSetBit([&](uint32_t r) {
-    const auto row = a.Row(r);
-    auto it = std::lower_bound(row.begin(), row.end(),
-                               static_cast<uint32_t>(col_begin));
-    for (; it != row.end() && *it < col_end; ++it) {
-      assert(count(*it) > 0 && "retracting a row that was never selected");
-      if (Decrement(*it) == 0) {
-        result_.Reset(*it);
-        ++cleared;
-      }
-    }
-  });
-  return cleared;
 }
 
 size_t CountedAccumulator::Retract(const BitMatrix& a,

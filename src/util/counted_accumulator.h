@@ -44,10 +44,12 @@ class CountedAccumulator {
   /// the nnz of the selected rows plus clearing the *previous* product's
   /// columns (counts is zero wherever the product bit is clear — a class
   /// invariant — so a full O(cols) wipe is only ever paid on first use).
-  /// `SelT` is BitVector, HierarchicalBitVector, or CandidateSet
-  /// (anything with Count/ForEachSetBit/Test over row indices).
+  /// `SelT` is BitVector or HierarchicalBitVector (anything with
+  /// ForEachSetBit/Test over row indices); `selected_count` must equal its
+  /// Count() and picks the row walk, like BitMatrix::Multiply.
   template <typename SelT>
-  void Rebuild(const BitMatrix& a, const SelT& selected) {
+  void Rebuild(const BitMatrix& a, const SelT& selected,
+               size_t selected_count) {
     if (counts16_.size() != a.cols()) {
       wide_ = false;
       counts32_.clear();
@@ -62,7 +64,7 @@ class CountedAccumulator {
     // each) when it is small, the non-empty row list (bit test each)
     // otherwise.
     const auto rows = a.NonEmptyRows();
-    if (selected.Count() * 8 < rows.size()) {
+    if (selected_count * 8 < rows.size()) {
       selected.ForEachSetBit([&](uint32_t r) { AddRow(a.Row(r)); });
     } else {
       for (size_t slot = 0; slot < rows.size(); ++slot) {
@@ -79,52 +81,6 @@ class CountedAccumulator {
   /// shrinks). Cost: O(nnz of the removed rows). Returns the number of
   /// columns cleared.
   size_t Retract(const BitMatrix& a, const BitVector& removed);
-
-  /// Column-range-restricted rebuild for the solver's shard lanes, split
-  /// into a serial and a concurrent part. PrepareRebuild performs what
-  /// Rebuild does before touching the selection: (re)size the lanes or
-  /// clear the previous product's counts, and wipe the result vector.
-  /// After it, RebuildRange calls over disjoint word-aligned column ranges
-  /// may run concurrently — each touches only its range's count lanes and
-  /// result words, and their union reproduces Rebuild bit for bit.
-  ///
-  /// `force_wide` pins the 32-bit lanes up front: a narrow-lane overflow
-  /// inside RebuildRange would have to widen the *whole* array mid-fill,
-  /// which is exactly the cross-range write the concurrent phase must not
-  /// perform, so multi-shard rebuilds pre-pay the wide layout. Counts (and
-  /// therefore result and every retraction after it) are identical either
-  /// way — lane width is never observable in a solve trajectory.
-  void PrepareRebuild(size_t cols, bool force_wide);
-
-  /// The concurrent half of the sharded rebuild; see PrepareRebuild.
-  /// Same adaptive row-walk rule as Rebuild, keyed on the whole selection
-  /// size so every range walks rows identically.
-  template <typename SelT>
-  void RebuildRange(const BitMatrix& a, const SelT& selected,
-                    size_t col_begin, size_t col_end) {
-    auto add_range = [&](std::span<const uint32_t> row) {
-      auto it = std::lower_bound(row.begin(), row.end(),
-                                 static_cast<uint32_t>(col_begin));
-      for (; it != row.end() && *it < col_end; ++it) Increment(*it);
-    };
-    const auto rows = a.NonEmptyRows();
-    if (selected.Count() * 8 < rows.size()) {
-      selected.ForEachSetBit([&](uint32_t r) { add_range(a.Row(r)); });
-    } else {
-      for (size_t slot = 0; slot < rows.size(); ++slot) {
-        if (selected.Test(rows[slot])) add_range(a.RowBySlot(slot));
-      }
-    }
-  }
-
-  /// Column-range-restricted Retract: decrements only the removed rows'
-  /// entries in [col_begin, col_end) and clears in-range columns whose
-  /// count hits zero. Safe to run concurrently over disjoint word-aligned
-  /// ranges (counts and result words are disjoint per range; Decrement
-  /// never changes lane width). The sum of the per-range returns over a
-  /// partition equals Retract's return.
-  size_t RetractRange(const BitMatrix& a, const BitVector& removed,
-                      size_t col_begin, size_t col_end);
 
   /// The product x *b A for the current selection x.
   const BitVector& result() const { return result_; }
@@ -164,11 +120,10 @@ class CountedAccumulator {
   /// matrix size (wide_ is sticky until the accumulator is re-sized).
   void Widen();
 
-  /// The incremental wipe shared by Rebuild and PrepareRebuild, fused
-  /// into one pass: counts is zero wherever the previous product bit is
-  /// clear (class invariant), so walking result_'s nonzero words zeroes
-  /// each set bit's count lane and the word itself without a second
-  /// O(cols/64) ClearAll sweep.
+  /// Rebuild's incremental wipe, fused into one pass: counts is zero
+  /// wherever the previous product bit is clear (class invariant), so
+  /// walking result_'s nonzero words zeroes each set bit's count lane and
+  /// the word itself without a second O(cols/64) ClearAll sweep.
   void WipeLive();
 
   bool wide_ = false;

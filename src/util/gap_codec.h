@@ -15,8 +15,8 @@ namespace sparqlsim::util {
 /// goes instead of trusting the buffer: a truncated varint (continuation
 /// bit set at end of input) or a varint wider than 64 bits marks the
 /// stream `malformed()` and stops it. Callers that stream untrusted or
-/// at-rest bytes (CandidateSet, GapCodec::TryDecode) never index past the
-/// span.
+/// at-rest bytes (GapCodec::TryDecode and TryDecodeIndices, which read
+/// SQSIMDB2 blocks) never index past the span.
 class GapReader {
  public:
   explicit GapReader(std::span<const uint8_t> buffer) : buffer_(buffer) {}
@@ -59,8 +59,8 @@ class GapReader {
 /// length 0) and never contains an interior zero-length run, because
 /// adjacent same-value appends are merged before being flushed. Feeding
 /// the writer the runs of a vector in order therefore reproduces
-/// GapCodec::Encode byte for byte, which keeps compressed-form kernel
-/// outputs directly comparable.
+/// GapCodec::Encode byte for byte, which keeps run-built streams
+/// directly comparable with encoded ones.
 class GapWriter {
  public:
   /// Appends `run_len` bits of `value`; zero-length appends are ignored.
@@ -101,9 +101,8 @@ class GapWriter {
 /// depend on run structure rather than raw bit count. This codec stores a
 /// bit vector as the sequence of alternating run lengths, starting with the
 /// length of the initial zero-run (possibly 0), each length LEB128-varint
-/// encoded. It backs the at-rest row storage statistics and the compressed
-/// candidate-set representation (util::CandidateSet), whose kernels walk
-/// the runs through GapReader/GapWriter without inflating.
+/// encoded. It backs the at-rest row storage statistics and the SQSIMDB2
+/// per-predicate matrix blocks (graph/binary_io.h).
 class GapCodec {
  public:
   /// Encodes `bits` into a byte buffer (word-wise run extraction, not a

@@ -61,16 +61,6 @@ void HierarchicalBitVector::ClearLive() {
   }
 }
 
-void HierarchicalBitVector::SetRange(size_t begin, size_t len) {
-  if (len == 0) return;
-  bits_.SetRange(begin, len);
-  const size_t first_block = begin / kBitsPerBlock;
-  const size_t last_block = (begin + len - 1) / kBitsPerBlock;
-  for (size_t block = first_block; block <= last_block; ++block) {
-    summary_[block / 64] |= uint64_t{1} << (block % 64);
-  }
-}
-
 void HierarchicalBitVector::ResetForReuse(size_t num_bits) {
   // Clear first so a subsequent shrink/grow only ever sees zero payload
   // (BitVector::Resize zeroes new bits but keeps surviving ones).

@@ -25,8 +25,8 @@ namespace sparqlsim::util {
 /// Invariant: summary bit b is set *iff* block b has a nonzero word
 /// (exact, not conservative), and the underlying BitVector keeps its own
 /// tail invariant (bits at positions >= size() stay zero). The mutator
-/// set is deliberately minimal — Set / SetRange / SetAll / ClearAll /
-/// ClearLive / AndWith plus the recycle helpers ResetForReuse and
+/// set is deliberately minimal — Set / SetAll / ClearAll / ClearLive /
+/// AndWith plus the recycle helpers ResetForReuse and
 /// AssignFrom — which is everything the solver's monotone-shrink loop
 /// and the scratch-pool recycle path need; there is no single-bit Reset,
 /// whose summary maintenance would need a block rescan.
@@ -70,11 +70,6 @@ class HierarchicalBitVector {
   /// drained vector pays O(live blocks) instead of O(universe/64). The
   /// payload words actually zeroed are added to words_cleared().
   void ClearLive();
-
-  /// Sets the `len` bits starting at `begin` and marks the touched blocks
-  /// live. Word-filled like BitVector::SetRange; the run materialization
-  /// path when refilling a recycled dense payload from a gap encoding.
-  void SetRange(size_t begin, size_t len);
 
   /// Reshapes to an all-zero vector of `num_bits`, reusing the existing
   /// word storage: same-size vectors pay only a ClearLive, resizes keep

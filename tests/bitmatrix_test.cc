@@ -168,7 +168,7 @@ TEST(BitMatrixTest, HierarchicalMultiplyMatchesPlain) {
     BitVector plain(cols);
     m.Multiply(x, &plain);
     BitVector viah(cols);
-    m.Multiply(HierarchicalBitVector(x), &viah);
+    m.Multiply(HierarchicalBitVector(x), x.Count(), &viah);
     EXPECT_EQ(viah, plain) << "trial " << trial;
   }
 }
@@ -182,7 +182,7 @@ TEST(CountedAccumulatorTest, RebuildMatchesMultiply) {
   BitMatrix m = BitMatrix::Build(6, 6, {{0, 1}, {0, 2}, {2, 2}, {5, 0}});
   BitVector sel = BitVector::FromIndices(6, {0, 2, 5});
   CountedAccumulator acc;
-  acc.Rebuild(m, sel);
+  acc.Rebuild(m, sel, sel.Count());
   BitVector expected(6);
   m.Multiply(sel, &expected);
   EXPECT_EQ(acc.result(), expected);
@@ -194,7 +194,7 @@ TEST(CountedAccumulatorTest, RebuildMatchesMultiply) {
 TEST(CountedAccumulatorTest, RetractClearsExactlyZeroCountColumns) {
   BitMatrix m = BitMatrix::Build(6, 6, {{0, 1}, {0, 2}, {2, 2}, {5, 0}});
   CountedAccumulator acc;
-  acc.Rebuild(m, BitVector(6, true));
+  acc.Rebuild(m, BitVector(6, true), 6);
   // Remove row 0: column 1 loses its only cover, column 2 keeps row 2's.
   EXPECT_EQ(acc.Retract(m, BitVector::FromIndices(6, {0})), 1u);
   EXPECT_FALSE(acc.result().Test(1));
@@ -221,7 +221,7 @@ TEST(CountedAccumulatorTest, RandomizedRetractionMatchesRebuild) {
 
     BitVector selected(n, true);
     CountedAccumulator acc;
-    acc.Rebuild(m, selected);
+    acc.Rebuild(m, selected, selected.Count());
     while (selected.Any()) {
       // Retract a random non-empty subset of the current selection.
       BitVector gone(n);
@@ -235,7 +235,7 @@ TEST(CountedAccumulatorTest, RandomizedRetractionMatchesRebuild) {
       EXPECT_EQ(acc.result().Count(), before - cleared);
 
       CountedAccumulator fresh;
-      fresh.Rebuild(m, selected);
+      fresh.Rebuild(m, selected, selected.Count());
       ASSERT_EQ(acc.result(), fresh.result()) << "trial " << trial;
       BitVector product(n);
       m.Multiply(selected, &product);
@@ -248,7 +248,7 @@ TEST(CountedAccumulatorTest, RebuildFromHierarchicalSelector) {
   BitMatrix m = BitMatrix::Build(5000, 5000, {{4999, 1}, {100, 4098}});
   HierarchicalBitVector sel(5000, true);
   CountedAccumulator acc;
-  acc.Rebuild(m, sel);
+  acc.Rebuild(m, sel, 5000);
   EXPECT_TRUE(acc.result().Test(1));
   EXPECT_TRUE(acc.result().Test(4098));
   EXPECT_EQ(acc.result().Count(), 2u);

@@ -127,4 +127,31 @@ TEST_F(CliTest, BadInputsFailCleanly) {
   EXPECT_NE(code, 0);
 }
 
+TEST_F(CliTest, UnknownOptionsAreUsageErrors) {
+  // Includes the removed --kernel/--shards knobs: an unknown option must
+  // not be taken for the subcommand or a positional argument.
+  for (const char* flags : {"--kernel dense", "--shards 2", "--frobnicate"}) {
+    int code = 0;
+    RunCommand(std::string(SPARQLSIM_CLI) + " " + flags + " stats " +
+                   NtPath(),
+               &code);
+    EXPECT_EQ(code, 2) << flags;
+  }
+}
+
+TEST_F(CliTest, HostileNestingIsAParseErrorNotACrash) {
+  const std::string path = "/tmp/sparqlsim_cli_test_deep.rq";
+  {
+    std::ofstream out(path);
+    out << "SELECT * WHERE ";
+    for (int i = 0; i < 200000; ++i) out << "{ ";
+    out << "?d <directed> ?m . ";
+    for (int i = 0; i < 200000; ++i) out << "} ";
+  }
+  int code = 0;
+  RunCommand(std::string(SPARQLSIM_CLI) + " query " + NtPath() + " " + path,
+             &code);
+  EXPECT_EQ(code, 1);  // a parse error, not a signal (-1)
+}
+
 }  // namespace

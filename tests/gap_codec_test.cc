@@ -171,7 +171,7 @@ TEST(GapWriterTest, MergesAdjacentSameValueRuns) {
 
 TEST(GapWriterTest, ReproducesEncodeByteForByte) {
   // Feeding a vector's runs through the writer must equal Encode exactly
-  // — the property that keeps compressed kernel outputs canonical.
+  // — the property that keeps run-built streams canonical.
   Rng rng(13);
   for (int trial = 0; trial < 30; ++trial) {
     const size_t n = 1 + rng.NextBounded(3000);

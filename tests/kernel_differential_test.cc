@@ -1,7 +1,6 @@
-// Randomized differential verification of the kernel/representation
-// layer. The scalar-dense path is the oracle; everything else — the AVX2
-// word lanes, the hierarchical dense layout, and the GAP/RLE-compressed
-// layout — must reproduce it bit for bit on AndWith / Count /
+// Randomized differential verification of the kernel layer. The flat
+// scalar path is the oracle; the AVX2 word lanes and the hierarchical
+// candidate-set layout must reproduce it bit for bit on AndWith / Count /
 // ForEachSetBit / Multiply, across occupancies from empty to full and
 // sizes straddling the word and 64-word-block edges. Every randomized
 // case derives its seed deterministically and logs it through
@@ -16,7 +15,6 @@
 
 #include "util/bitmatrix.h"
 #include "util/bitvector.h"
-#include "util/candidate_set.h"
 #include "util/counted_accumulator.h"
 #include "util/hierarchical_bitvector.h"
 #include "util/rng.h"
@@ -34,10 +32,6 @@ const size_t kBitSizes[] = {1,    63,   64,   65,   127,  128,  129,
 // Densities the solver actually visits: empty, late-fixpoint sparse,
 // balanced, full.
 const double kDensities[] = {0.0, 0.004, 0.1, 0.5, 1.0};
-
-const CandidateSet::Policy kPolicies[] = {CandidateSet::Policy::kAuto,
-                                          CandidateSet::Policy::kDense,
-                                          CandidateSet::Policy::kCompressed};
 
 // splitmix-style deterministic per-case seed; logged on failure.
 uint64_t CaseSeed(uint64_t a, uint64_t b, uint64_t c) {
@@ -57,22 +51,10 @@ BitVector RandomVector(Rng* rng, size_t n, double density) {
   return v;
 }
 
-std::vector<uint32_t> Collect(const CandidateSet& s) {
+std::vector<uint32_t> Collect(const HierarchicalBitVector& h) {
   std::vector<uint32_t> out;
-  s.ForEachSetBit([&](uint32_t i) { out.push_back(i); });
+  h.ForEachSetBit([&](uint32_t i) { out.push_back(i); });
   return out;
-}
-
-const char* PolicyName(CandidateSet::Policy p) {
-  switch (p) {
-    case CandidateSet::Policy::kAuto:
-      return "auto";
-    case CandidateSet::Policy::kDense:
-      return "dense";
-    case CandidateSet::Policy::kCompressed:
-      return "compressed";
-  }
-  return "?";
 }
 
 // --- Word-kernel lane differential: scalar vs AVX2 tables. ---
@@ -135,7 +117,8 @@ TEST(KernelDifferentialTest, PopcountWordsAgreesAcrossLanes) {
   }
 }
 
-// --- Representation differential: CandidateSet vs the flat oracle. ---
+// --- Representation differential: HierarchicalBitVector vs the flat
+// oracle. ---
 
 TEST(KernelDifferentialTest, AndCountForEachAgreeAcrossRepresentations) {
   for (size_t n : kBitSizes) {
@@ -151,21 +134,17 @@ TEST(KernelDifferentialTest, AndCountForEachAgreeAcrossRepresentations) {
 
         BitVector oracle = v;
         const bool oracle_changed = oracle.AndWith(m);
-        const std::vector<uint32_t> oracle_bits = oracle.ToIndexVector();
 
-        for (CandidateSet::Policy policy : kPolicies) {
-          SCOPED_TRACE(PolicyName(policy));
-          CandidateSet set(v, policy);
-          EXPECT_EQ(set.Count(), v.Count());
-          EXPECT_EQ(set.AndWith(m), oracle_changed);
-          EXPECT_EQ(set.Count(), oracle.Count());
-          EXPECT_EQ(set.Any(), oracle.Any());
-          EXPECT_EQ(set.ToBitVector(), oracle);
-          EXPECT_EQ(Collect(set), oracle_bits);
-          for (int probe = 0; probe < 16; ++probe) {
-            const size_t i = rng.NextBounded(n);
-            EXPECT_EQ(set.Test(i), oracle.Test(i)) << "probe " << i;
-          }
+        HierarchicalBitVector h(v);
+        EXPECT_EQ(h.Count(), v.Count());
+        EXPECT_EQ(h.AndWith(m), oracle_changed);
+        EXPECT_EQ(h.Count(), oracle.Count());
+        EXPECT_EQ(h.Any(), oracle.Any());
+        EXPECT_EQ(h.bits(), oracle);
+        EXPECT_EQ(Collect(h), oracle.ToIndexVector());
+        for (int probe = 0; probe < 16; ++probe) {
+          const size_t i = rng.NextBounded(n);
+          EXPECT_EQ(h.Test(i), oracle.Test(i)) << "probe " << i;
         }
       }
     }
@@ -174,7 +153,7 @@ TEST(KernelDifferentialTest, AndCountForEachAgreeAcrossRepresentations) {
 
 TEST(KernelDifferentialTest, RepeatedAndsConvergeIdentically) {
   // Chains of shrinking ANDs — the solver's actual access pattern — with
-  // auto-policy sets crossing the compression threshold mid-chain.
+  // the summary draining blocks mid-chain.
   for (size_t n : {513u, 4097u, 8192u}) {
     for (int rep = 0; rep < 4; ++rep) {
       const uint64_t seed = CaseSeed(n, 555, rep);
@@ -182,51 +161,13 @@ TEST(KernelDifferentialTest, RepeatedAndsConvergeIdentically) {
                    std::to_string(seed));
       Rng rng(seed);
       BitVector oracle(n, true);
-      CandidateSet sets[] = {CandidateSet(BitVector(n, true), kPolicies[0]),
-                             CandidateSet(BitVector(n, true), kPolicies[1]),
-                             CandidateSet(BitVector(n, true), kPolicies[2])};
-      // Successively sparser masks force the occupancy through the
-      // auto-compression threshold.
+      HierarchicalBitVector h(n, true);
       for (double density : {0.6, 0.2, 0.02, 0.002}) {
         const BitVector mask = RandomVector(&rng, n, density);
-        const bool oracle_changed = oracle.AndWith(mask);
-        for (CandidateSet& set : sets) {
-          SCOPED_TRACE(PolicyName(set.policy()));
-          EXPECT_EQ(set.AndWith(mask), oracle_changed);
-          EXPECT_EQ(set.Count(), oracle.Count());
-          EXPECT_EQ(set.ToBitVector(), oracle);
-        }
-      }
-      // The auto set must actually have compressed on a shrunken
-      // occupancy (n >= 512 and final density ~0.002 guarantee it unless
-      // the set drained entirely, which stays dense-representable).
-      if (oracle.Any()) {
-        EXPECT_TRUE(sets[0].compressed());
-      }
-      EXPECT_FALSE(sets[1].compressed());
-      EXPECT_TRUE(sets[2].compressed());
-    }
-  }
-}
-
-TEST(KernelDifferentialTest, ClearBitsInAgreesAcrossRepresentations) {
-  for (size_t n : {64u, 129u, 4096u, 8193u}) {
-    for (double density : kDensities) {
-      const uint64_t seed =
-          CaseSeed(n, static_cast<uint64_t>(density * 1000) + 97, 0);
-      SCOPED_TRACE("n=" + std::to_string(n) + " seed=" +
-                   std::to_string(seed));
-      Rng rng(seed);
-      const BitVector v = RandomVector(&rng, n, density);
-      const BitVector target = RandomVector(&rng, n, 0.5);
-      BitVector expected = target;
-      expected.AndNotWith(v);
-      for (CandidateSet::Policy policy : kPolicies) {
-        SCOPED_TRACE(PolicyName(policy));
-        const CandidateSet set(v, policy);
-        BitVector got = target;
-        set.ClearBitsIn(&got);
-        EXPECT_EQ(got, expected);
+        EXPECT_EQ(h.AndWith(mask), oracle.AndWith(mask));
+        EXPECT_EQ(h.Count(), oracle.Count());
+        EXPECT_EQ(h.Any(), oracle.Any());
+        EXPECT_EQ(h.bits(), oracle);
       }
     }
   }
@@ -253,62 +194,41 @@ TEST(KernelDifferentialTest, MultiplyAgreesAcrossSelectorRepresentations) {
         BitVector expected(n);
         a.Multiply(x, &expected);
 
-        BitVector via_hier(n);
-        a.Multiply(HierarchicalBitVector(x), &via_hier);
+        // A dirty destination must be fully overwritten (recycled masks).
+        BitVector via_hier(n, true);
+        a.Multiply(HierarchicalBitVector(x), x.Count(), &via_hier);
         EXPECT_EQ(via_hier, expected);
-
-        for (CandidateSet::Policy policy : kPolicies) {
-          SCOPED_TRACE(PolicyName(policy));
-          BitVector out(n);
-          a.Multiply(CandidateSet(x, policy), &out);
-          EXPECT_EQ(out, expected);
-        }
       }
     }
   }
 }
 
 TEST(KernelDifferentialTest, MutatorsAgreeAcrossRepresentations) {
-  for (CandidateSet::Policy policy : kPolicies) {
-    SCOPED_TRACE(PolicyName(policy));
-    const size_t n = 5000;
-    CandidateSet set(n, policy);
-    EXPECT_EQ(set.Count(), 0u);
-    EXPECT_FALSE(set.Any());
+  const size_t n = 5000;
+  HierarchicalBitVector h(n);
+  EXPECT_EQ(h.Count(), 0u);
+  EXPECT_FALSE(h.Any());
 
-    set.SetAll();
-    EXPECT_EQ(set.Count(), n);
-    EXPECT_EQ(set.ToBitVector(), BitVector(n, true));
+  h.SetAll();
+  EXPECT_EQ(h.Count(), n);
+  EXPECT_EQ(h.bits(), BitVector(n, true));
 
-    set.ClearAll();
-    EXPECT_EQ(set.Count(), 0u);
-    EXPECT_EQ(set.ToBitVector(), BitVector(n));
+  h.ClearAll();
+  EXPECT_EQ(h.Count(), 0u);
+  EXPECT_FALSE(h.Any());
+  EXPECT_EQ(h.bits(), BitVector(n));
 
-    set.Set(0);
-    set.Set(4096);
-    set.Set(n - 1);
-    set.Set(4096);  // idempotent
-    EXPECT_EQ(set.Count(), 3u);
-    EXPECT_TRUE(set.Test(0));
-    EXPECT_TRUE(set.Test(4096));
-    EXPECT_TRUE(set.Test(n - 1));
-    EXPECT_FALSE(set.Test(1));
-    EXPECT_EQ(Collect(set),
-              (std::vector<uint32_t>{0, 4096, static_cast<uint32_t>(n - 1)}));
-  }
-}
-
-TEST(KernelDifferentialTest, AutoPolicyHonorsMinimumWidth) {
-  // Below kMinCompressBits a set never compresses, whatever its occupancy.
-  CandidateSet small(CandidateSet::kMinCompressBits - 1,
-                     CandidateSet::Policy::kAuto);
-  small.Set(3);
-  EXPECT_FALSE(small.compressed());
-  // At the threshold width a sufficiently sparse set does.
-  CandidateSet wide(CandidateSet::kMinCompressBits,
-                    CandidateSet::Policy::kAuto);
-  wide.Set(3);
-  EXPECT_TRUE(wide.compressed());
+  h.Set(0);
+  h.Set(4096);
+  h.Set(n - 1);
+  h.Set(4096);  // idempotent
+  EXPECT_EQ(h.Count(), 3u);
+  EXPECT_TRUE(h.Test(0));
+  EXPECT_TRUE(h.Test(4096));
+  EXPECT_TRUE(h.Test(n - 1));
+  EXPECT_FALSE(h.Test(1));
+  EXPECT_EQ(Collect(h),
+            (std::vector<uint32_t>{0, 4096, static_cast<uint32_t>(n - 1)}));
 }
 
 // --- CountedAccumulator 16-bit lanes: exact widening at overflow. ---
@@ -326,7 +246,7 @@ TEST(KernelDifferentialTest, CountedAccumulatorWidensExactlyAtOverflow) {
   const BitMatrix a = BitMatrix::Build(rows, 8, std::move(entries));
 
   CountedAccumulator acc;
-  acc.Rebuild(a, BitVector(rows, true));
+  acc.Rebuild(a, BitVector(rows, true), rows);
   EXPECT_TRUE(acc.wide());
   EXPECT_EQ(acc.count(0), 70000u);
   EXPECT_EQ(acc.count(1), 35000u);
@@ -363,7 +283,7 @@ TEST(KernelDifferentialTest, CountedAccumulatorNarrowStaysNarrow) {
   const BitVector selected = RandomVector(&rng, rows, 0.7);
 
   CountedAccumulator acc;
-  acc.Rebuild(a, selected);
+  acc.Rebuild(a, selected, selected.Count());
   EXPECT_FALSE(acc.wide());
 
   std::vector<uint32_t> expected(cols, 0);

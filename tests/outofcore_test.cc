@@ -2,7 +2,7 @@
 // opened eagerly, and a v2 file opened lazily (mmap + per-predicate
 // materialization on first touch) must be indistinguishable to the
 // engine: bit-identical solutions, prune reports, and fixpoint
-// trajectories across thread counts, shard counts, and kernel modes.
+// trajectories across thread counts.
 // On top of that interchangeability, the suite pins the tier's own
 // contracts: a cold lazy open materializes nothing until a query
 // touches it, untouched predicates stay on disk, the resident-byte
@@ -109,29 +109,19 @@ TEST(OutOfCoreDifferentialTest, BackingNeverChangesSolveResults) {
 
   for (Variant& variant : variants) {
     for (size_t threads : {size_t{1}, size_t{8}}) {
-      for (size_t shards : {size_t{1}, size_t{4}}) {
-        for (auto kernel : {SolverOptions::KernelMode::kAuto,
-                            SolverOptions::KernelMode::kDense,
-                            SolverOptions::KernelMode::kCompressed}) {
-          SolverOptions options;
-          options.num_threads = threads;
-          options.num_shards = shards;
-          options.kernel_mode = kernel;
-          SimEngine engine(&variant.db, options);
-          Solution solution = engine.Solve(soi);
-          const std::string context =
-              std::string(variant.name) + ", " + std::to_string(threads) +
-              " threads, " + std::to_string(shards) + " shards, kernel " +
-              std::to_string(static_cast<int>(kernel));
-          ASSERT_EQ(solution.candidates.size(), reference.candidates.size())
-              << context;
-          for (size_t v = 0; v < reference.candidates.size(); ++v) {
-            EXPECT_EQ(solution.candidates[v], reference.candidates[v])
-                << context << ", var " << v;
-          }
-          ExpectSameTrajectory(solution.stats, reference.stats, context);
-        }
+      SolverOptions options;
+      options.num_threads = threads;
+      SimEngine engine(&variant.db, options);
+      Solution solution = engine.Solve(soi);
+      const std::string context = std::string(variant.name) + ", " +
+                                  std::to_string(threads) + " threads";
+      ASSERT_EQ(solution.candidates.size(), reference.candidates.size())
+          << context;
+      for (size_t v = 0; v < reference.candidates.size(); ++v) {
+        EXPECT_EQ(solution.candidates[v], reference.candidates[v])
+            << context << ", var " << v;
       }
+      ExpectSameTrajectory(solution.stats, reference.stats, context);
     }
   }
 }
@@ -157,7 +147,6 @@ TEST(OutOfCoreDifferentialTest, PruneReportsIdenticalAcrossBackings) {
   for (GraphDatabase* db : {&v1, &v2_eager, &v2_lazy}) {
     SolverOptions options;
     options.num_threads = 2;
-    options.num_shards = 2;
     SimEngine engine(db, options);
     PruneReport report = engine.Prune(query);
     if (!have_reference) {

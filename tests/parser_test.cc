@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "sparql/printer.h"
 
 namespace sparqlsim::sparql {
@@ -185,6 +187,62 @@ TEST(ParserTest, EmptyGroup) {
   ASSERT_TRUE(r.ok()) << r.error_message();
   EXPECT_TRUE(r.value().where->IsBgp());
   EXPECT_TRUE(r.value().where->triples().empty());
+}
+
+// Group nesting is bounded: hostile depth is a parse error, never
+// unbounded recursion. `depth` counts the WHERE group itself.
+std::string NestedGroups(size_t depth) {
+  std::string q = "SELECT * WHERE ";
+  for (size_t i = 0; i < depth; ++i) q += "{ ";
+  q += "?s <p> ?o . ";
+  for (size_t i = 0; i < depth; ++i) q += "} ";
+  return q;
+}
+
+std::string NestedOptionals(size_t depth) {
+  std::string q = "SELECT * WHERE { ?s <p> ?o . ";
+  for (size_t i = 1; i < depth; ++i) q += "OPTIONAL { ?s <p> ?o . ";
+  for (size_t i = 0; i < depth; ++i) q += "} ";
+  return q;
+}
+
+std::string NestedUnions(size_t depth) {
+  // Each right UNION arm opens one more group around the next UNION.
+  std::string q = "SELECT * WHERE { ";
+  for (size_t i = 1; i < depth; ++i) q += "{ ?s <p> ?o . } UNION { ";
+  q += "?s <p> ?o . ";
+  for (size_t i = 0; i < depth; ++i) q += "} ";
+  return q;
+}
+
+void ExpectDepthError(const util::Result<Query>& r) {
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.error_message().find("nested deeper than"), std::string::npos)
+      << r.error_message();
+}
+
+TEST(ParserTest, NestingAtTheDepthLimitParses) {
+  for (const std::string& q : {NestedGroups(Parser::kMaxGroupDepth),
+                               NestedOptionals(Parser::kMaxGroupDepth),
+                               NestedUnions(Parser::kMaxGroupDepth)}) {
+    auto r = Parser::Parse(q);
+    EXPECT_TRUE(r.ok()) << r.error_message();
+  }
+}
+
+TEST(ParserTest, NestingOneBeyondTheDepthLimitIsAParseError) {
+  ExpectDepthError(Parser::Parse(NestedGroups(Parser::kMaxGroupDepth + 1)));
+  ExpectDepthError(Parser::Parse(NestedOptionals(Parser::kMaxGroupDepth + 1)));
+  ExpectDepthError(Parser::Parse(NestedUnions(Parser::kMaxGroupDepth + 1)));
+}
+
+TEST(ParserTest, HostileNestingIsAParseErrorNotACrash) {
+  ExpectDepthError(Parser::Parse(NestedGroups(200000)));
+  ExpectDepthError(Parser::Parse(NestedOptionals(200000)));
+  ExpectDepthError(Parser::Parse(NestedUnions(200000)));
+  auto pattern = Parser::ParsePattern(
+      NestedGroups(200000).substr(std::string("SELECT * WHERE ").size()));
+  ASSERT_FALSE(pattern.ok());
 }
 
 }  // namespace

@@ -1,10 +1,13 @@
 // The SimEngine concurrency contract: bit-exact identical solutions for any
 // thread count (random SOIs and UNION batching), deadlock-free nested
-// ParallelFor, and SOI/solution cache hit/miss/invalidation behavior.
+// ParallelFor, SOI/solution cache hit/miss/invalidation behavior, and sound
+// truncation under cancellation and deadlines.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <vector>
@@ -16,6 +19,7 @@
 #include "sim/validate.h"
 #include "sparql/normalize.h"
 #include "sparql/parser.h"
+#include "util/bitvector.h"
 #include "util/thread_pool.h"
 
 namespace sparqlsim::sim {
@@ -326,6 +330,62 @@ TEST(SimEngineTest, ParallelEngineReportsPoolCounters) {
   // 6 nodes / 10 edges => 20 matrix inequalities in round one.
   EXPECT_GE(solution.stats.max_round_width, 2u);
   EXPECT_GE(solution.stats.parallel_rounds, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Deadlines: truncation is sound (superset) and flagged
+// ---------------------------------------------------------------------------
+
+TEST(SolveControlTest, CancelledSolveTruncatesToASoundSuperset) {
+  datagen::RandomGraphConfig config;
+  config.num_nodes = 150;
+  config.num_edges = 600;
+  config.num_labels = 3;
+  config.seed = 9;
+  graph::GraphDatabase db = datagen::MakeRandomDatabase(config);
+  graph::Graph pattern = datagen::MakeRandomPattern(6, 4, 3, 77);
+  Soi soi = BuildSoiFromGraph(pattern);
+
+  SimEngine engine(&db, SolverOptions{});
+  Solution full = engine.Solve(soi);
+  ASSERT_FALSE(full.truncated);
+
+  // Pre-cancelled control: the fixpoint stops at the first round boundary.
+  std::atomic<bool> cancel{true};
+  SolveControl control;
+  control.cancel = &cancel;
+  Solution cut = engine.Solve(soi, /*initial=*/nullptr, &control);
+  EXPECT_TRUE(cut.truncated);
+  ASSERT_EQ(cut.candidates.size(), full.candidates.size());
+  for (size_t v = 0; v < full.candidates.size(); ++v) {
+    // Soundness: truncation can only leave extra candidates, never lose one.
+    util::BitVector both = cut.candidates[v];
+    both.AndWith(full.candidates[v]);
+    EXPECT_EQ(both, full.candidates[v]) << "var " << v;
+  }
+}
+
+TEST(SolveControlTest, ExpiredDeadlineMarksPruneReportTruncated) {
+  graph::GraphDatabase db = datagen::MakeMovieDatabase();
+  auto parsed = sparql::Parser::Parse(
+      "SELECT * WHERE { ?m <genre> ?g . ?d <directed> ?m . }");
+  ASSERT_TRUE(parsed.ok()) << parsed.error_message();
+  sparql::Query query = std::move(parsed).value();
+
+  SimEngine engine(&db, SolverOptions{});
+  SolveControl control;
+  control.deadline = std::chrono::steady_clock::now();  // already expired
+  PruneReport report = engine.Prune(query, &control);
+  EXPECT_TRUE(report.truncated);
+
+  PruneReport full = engine.Prune(query);
+  EXPECT_FALSE(full.truncated);
+  // Superset property lifts through triple extraction.
+  for (const graph::Triple& t : full.kept_triples) {
+    EXPECT_TRUE(std::find(report.kept_triples.begin(),
+                          report.kept_triples.end(),
+                          t) != report.kept_triples.end());
+  }
 }
 
 }  // namespace

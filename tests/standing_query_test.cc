@@ -1,7 +1,7 @@
 // Standing-query maintenance contract: after every applied delta batch the
 // incrementally maintained solution must be *bit-identical* to a cold
-// solve on the post-delta database — for every escalation policy, thread
-// count, kernel, and shard count. The randomized differential suite below
+// solve on the post-delta database — for every escalation policy and
+// thread count. The randomized differential suite below
 // drives logged seeds through insert-only, delete-only, mixed, and
 // no-op/duplicate batches (UNION and OPTIONAL patterns included) and
 // checks each maintained report against a cold reference chain; scripted
@@ -35,36 +35,13 @@ sparql::Query ParseQuery(const std::string& text) {
   return std::move(parsed).value();
 }
 
-// The full configuration matrix the differential invariant must hold
-// over: threads x kernel x shards. Policies are a separate axis
-// (PolicyAgreement below) so the matrix stays affordable.
-struct MatrixConfig {
-  size_t threads;
-  SolverOptions::KernelMode kernel;
-  size_t shards;
-};
+// The configuration matrix the differential invariant must hold over:
+// solver thread counts. Policies are a separate axis (PolicyAgreement
+// below) so the matrix stays affordable.
+const size_t kThreadCounts[] = {1, 2, 8};
 
-std::vector<MatrixConfig> FullMatrix() {
-  std::vector<MatrixConfig> out;
-  for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-    for (auto kernel :
-         {SolverOptions::KernelMode::kAuto, SolverOptions::KernelMode::kDense,
-          SolverOptions::KernelMode::kCompressed}) {
-      for (size_t shards : {size_t{1}, size_t{4}}) {
-        out.push_back({threads, kernel, shards});
-      }
-    }
-  }
-  return out;
-}
-
-std::string Describe(const MatrixConfig& c) {
-  const char* kernel = c.kernel == SolverOptions::KernelMode::kAuto ? "auto"
-                       : c.kernel == SolverOptions::KernelMode::kDense
-                           ? "dense"
-                           : "compressed";
-  return "threads=" + std::to_string(c.threads) + " kernel=" + kernel +
-         " shards=" + std::to_string(c.shards);
+std::string Describe(size_t threads) {
+  return "threads=" + std::to_string(threads);
 }
 
 bool Contains(const std::vector<graph::Triple>& sorted,
@@ -217,28 +194,27 @@ TEST_P(StandingDifferentialTest, MaintainedEqualsColdAcrossFullMatrix) {
     const sparql::Query query = ParseQuery(texts[q]);
     const ReferenceChain chain = MakeReferenceChain(base, stream, query);
 
-    for (const MatrixConfig& mc : FullMatrix()) {
+    for (size_t threads : kThreadCounts) {
       StandingQueryOptions options;
-      options.solver.num_threads = mc.threads;
-      options.solver.kernel_mode = mc.kernel;
-      options.solver.num_shards = mc.shards;
+      options.solver.num_threads = threads;
       options.solver.cache_sois = false;
       options.solver.cache_solutions = false;
 
       StandingQuery standing(query.Clone(), base.Snapshot(), options);
       ExpectSameSolution(standing.report(), chain.reports[0],
-                         Describe(mc) + " cold");
+                         Describe(threads) + " cold");
       for (size_t batch = 0; batch < stream.size(); ++batch) {
         const PruneReport& got = standing.Apply(stream[batch]);
-        ExpectSameSolution(got, chain.reports[batch + 1],
-                           Describe(mc) + " batch " + std::to_string(batch));
+        ExpectSameSolution(
+            got, chain.reports[batch + 1],
+            Describe(threads) + " batch " + std::to_string(batch));
       }
       // The stream's no-op batches (kind 3) must have taken the
       // contentless fast path at least once.
-      EXPECT_GT(standing.stats().noop_applies, 0u) << Describe(mc);
+      EXPECT_GT(standing.stats().noop_applies, 0u) << Describe(threads);
       EXPECT_EQ(standing.stats().applies + standing.stats().noop_applies,
                 stream.size())
-          << Describe(mc);
+          << Describe(threads);
     }
   }
 }

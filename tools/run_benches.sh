@@ -134,8 +134,8 @@ SPARQLSIM_BENCH_JSON="$RUN_DIR/bench_outofcore.json" run_bench bench_outofcore
   # Structured per-bench JSON, embedded verbatim: the ablation block carries
   # the incremental-evaluation on/off comparison (seconds + per-variant
   # rounds/updates/delta counters), parallel the thread scaling, service the
-  # throughput numbers across the worker, shard-count, and snapshot-churn
-  # axes (samples[].shards + the churn object).
+  # throughput numbers across the worker, steady-state, and snapshot-churn
+  # axes (samples[] + the steady and churn objects).
   echo '  "ablation":'
   cat "$RUN_DIR/bench_ablation.json"
   echo '  ,"parallel":'

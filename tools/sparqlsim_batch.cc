@@ -23,10 +23,6 @@
 //                       toggle solve-scratch recycling (on by default;
 //                       bit-identical results either way — the off state
 //                       is the differential oracle's allocation profile)
-//   --kernel MODE       candidate-set representation: auto (default),
-//                       dense, or compressed (bit-identical results)
-//   --shards N          column-shard each fixpoint round into N ranges
-//                       (bit-identical results for every value)
 //   --deadline-ms N     per-query compute budget; expired queries return a
 //                       sound over-approximation marked "truncated"
 //   --priority high|low default admission class for untagged queries
@@ -86,9 +82,7 @@ int Usage() {
       "                       [--cache-capacity N] [--cache|--no-cache]\n"
       "                       [--incremental|--no-incremental]\n"
       "                       [--scratch-pool|--no-scratch-pool]\n"
-      "                       [--kernel auto|dense|compressed]\n"
-      "                       [--shards N] [--deadline-ms N]\n"
-      "                       [--priority high|low]\n"
+      "                       [--deadline-ms N] [--priority high|low]\n"
       "                       [--repeat K] [--db file.gdb] "
       "[--resident-mb M]\n"
       "                       [--subscribe [--deltas updates.txt]] [data.nt] "
@@ -332,11 +326,6 @@ int Run(int argc, char** argv) {
       if (!parse_size(value, &repeat) || repeat == 0) return Usage();
       continue;
     }
-    if (!flag_value(i, "--shards", &value)) return Usage();
-    if (value != nullptr) {
-      if (!parse_size(value, &options.solver.num_shards)) return Usage();
-      continue;
-    }
     if (!flag_value(i, "--deadline-ms", &value)) return Usage();
     if (value != nullptr) {
       if (!parse_size(value, &deadline_ms)) return Usage();
@@ -394,20 +383,6 @@ int Run(int argc, char** argv) {
     }
     if (std::strcmp(argv[i], "--no-scratch-pool") == 0) {
       options.solver.reuse_scratch = false;
-      continue;
-    }
-    if (!flag_value(i, "--kernel", &value)) return Usage();
-    if (value != nullptr) {
-      if (std::strcmp(value, "auto") == 0) {
-        options.solver.kernel_mode = sim::SolverOptions::KernelMode::kAuto;
-      } else if (std::strcmp(value, "dense") == 0) {
-        options.solver.kernel_mode = sim::SolverOptions::KernelMode::kDense;
-      } else if (std::strcmp(value, "compressed") == 0) {
-        options.solver.kernel_mode =
-            sim::SolverOptions::KernelMode::kCompressed;
-      } else {
-        return Usage();
-      }
       continue;
     }
     if (std::strncmp(argv[i], "--", 2) == 0) return Usage();

@@ -28,13 +28,6 @@
 //                 Purely an allocation knob: results are bit-identical
 //                 either way. SPARQLSIM_NO_SCRATCH=1 sets the same switch
 //                 from the environment.
-//   --kernel MODE candidate-set representation kernel: auto (occupancy-
-//                 driven GAP/RLE compression with hysteresis, the default),
-//                 dense (always hierarchical word arrays), or compressed
-//                 (always run lists). Bit-identical results in every mode.
-//   --shards N    column-shard each fixpoint round into N word-aligned
-//                 ranges (0 = env default SPARQLSIM_FORCE_SHARDS or 1).
-//                 Bit-identical results for every value.
 //   --deadline-ms N  per-query compute budget for sim/prune; an expired
 //                 query stops at the next round boundary and reports a
 //                 sound over-approximation (marked "truncated").
@@ -91,7 +84,6 @@ int Usage() {
                "usage: sparqlsim [--threads N] [--cache|--no-cache] "
                "[--cache-capacity N] [--incremental|--no-incremental] "
                "[--scratch-pool|--no-scratch-pool] "
-               "[--kernel auto|dense|compressed] [--shards N] "
                "[--deadline-ms N] [--priority high|low] "
                "[--db file.gdb] [--resident-mb M] "
                "<stats|query|prune|sim|bench|explain|convert> "
@@ -165,10 +157,8 @@ int PrintSim(const graph::GraphDatabase& db, const sim::PruneReport& report) {
     });
     if (shown > 10) std::printf("  ... (%zu more)\n", shown - 10);
   }
-  std::fprintf(stderr, "solved in %.4fs (%zu rounds, %zu branches, "
-               "%zu shards)%s\n",
+  std::fprintf(stderr, "solved in %.4fs (%zu rounds, %zu branches)%s\n",
                report.total_seconds, report.stats.rounds, report.num_branches,
-               report.stats.shards_used,
                report.truncated ? " [truncated: deadline expired; candidate "
                                   "sets are a sound over-approximation]"
                                 : "");
@@ -282,9 +272,6 @@ int Run(int argc, char** argv) {
   auto parse_threads = [&](const char* text) {
     return parse_size_flag(text, "--threads", &options.num_threads);
   };
-  auto parse_shards = [&](const char* text) {
-    return parse_size_flag(text, "--shards", &options.num_shards);
-  };
   auto parse_deadline = [&](const char* text) {
     if (!parse_size_flag(text, "--deadline-ms", &deadline_ms)) return false;
     use_service = true;
@@ -302,22 +289,6 @@ int Run(int argc, char** argv) {
       return false;
     }
     use_service = true;
-    return true;
-  };
-  auto parse_kernel = [&](const char* text) {
-    if (std::strcmp(text, "auto") == 0) {
-      options.kernel_mode = sim::SolverOptions::KernelMode::kAuto;
-    } else if (std::strcmp(text, "dense") == 0) {
-      options.kernel_mode = sim::SolverOptions::KernelMode::kDense;
-    } else if (std::strcmp(text, "compressed") == 0) {
-      options.kernel_mode = sim::SolverOptions::KernelMode::kCompressed;
-    } else {
-      std::fprintf(stderr,
-                   "invalid --kernel value '%s' "
-                   "(expected auto|dense|compressed)\n",
-                   text);
-      return false;
-    }
     return true;
   };
   auto parse_capacity = [&](const char* text) {
@@ -390,22 +361,6 @@ int Run(int argc, char** argv) {
       options.incremental_eval = false;
       continue;
     }
-    if (std::strcmp(argv[i], "--kernel") == 0) {
-      if (i + 1 >= argc || !parse_kernel(argv[++i])) return Usage();
-      continue;
-    }
-    if (std::strncmp(argv[i], "--kernel=", 9) == 0) {
-      if (!parse_kernel(argv[i] + 9)) return Usage();
-      continue;
-    }
-    if (std::strcmp(argv[i], "--shards") == 0) {
-      if (i + 1 >= argc || !parse_shards(argv[++i])) return Usage();
-      continue;
-    }
-    if (std::strncmp(argv[i], "--shards=", 9) == 0) {
-      if (!parse_shards(argv[i] + 9)) return Usage();
-      continue;
-    }
     if (std::strcmp(argv[i], "--deadline-ms") == 0) {
       if (i + 1 >= argc || !parse_deadline(argv[++i])) return Usage();
       continue;
@@ -421,6 +376,10 @@ int Run(int argc, char** argv) {
     if (std::strncmp(argv[i], "--priority=", 11) == 0) {
       if (!parse_priority(argv[i] + 11)) return Usage();
       continue;
+    }
+    if (std::strncmp(argv[i], "--", 2) == 0) {
+      std::fprintf(stderr, "unknown option '%s'\n", argv[i]);
+      return Usage();
     }
     args.push_back(argv[i]);
   }
