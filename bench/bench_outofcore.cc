@@ -56,7 +56,7 @@ std::string DensestPredicate(const graph::GraphDatabase& db) {
       best = p;
     }
   }
-  return db.predicates().Name(best);
+  return std::string(db.predicates().Name(best));
 }
 
 VariantRow RunVariant(const char* name, const std::string& path,

@@ -56,8 +56,9 @@ int main() {
     int shown = 0;
     solution.candidates[v].ForEachSetBit([&](uint32_t node) {
       if (shown < 3) {
-        std::printf("%s %s", shown == 0 ? " e.g." : ",",
-                    db.nodes().Name(node).c_str());
+        const std::string_view name = db.nodes().Name(node);
+        std::printf("%s %.*s", shown == 0 ? " e.g." : ",",
+                    static_cast<int>(name.size()), name.data());
       }
       ++shown;
     });
@@ -88,8 +89,9 @@ int main() {
               watch.ElapsedSeconds());
   for (size_t i = 0; i < std::min<size_t>(strong.matches.size(), 3); ++i) {
     const sim::StrongMatch& m = strong.matches[i];
-    std::printf("  match %zu (center %s):", i,
-                db.nodes().Name(m.center).c_str());
+    const std::string_view center = db.nodes().Name(m.center);
+    std::printf("  match %zu (center %.*s):", i,
+                static_cast<int>(center.size()), center.data());
     for (int v = 0; v < kNumNodes; ++v) {
       std::printf(" %s=%zu", names[v], m.candidates[v].Count());
     }

@@ -47,7 +47,10 @@ int main() {
   for (const auto& [var, candidates] : report.var_candidates) {
     std::printf("  ?%s ->", var.c_str());
     candidates.ForEachSetBit(
-        [&](uint32_t node) { std::printf(" %s,", db.nodes().Name(node).c_str()); });
+        [&](uint32_t node) {
+          const std::string_view name = db.nodes().Name(node);
+          std::printf(" %.*s,", static_cast<int>(name.size()), name.data());
+        });
     std::printf("\n");
   }
 

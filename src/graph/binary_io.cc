@@ -5,6 +5,9 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -16,22 +19,34 @@
 #include <ostream>
 #include <span>
 #include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "util/fnv1a.h"
 #include "util/gap_codec.h"
 #include "util/thread_pool.h"
 
 namespace sparqlsim::graph {
 
+// The SQSIMDB3 dictionary block is the in-memory Dictionary arrays
+// verbatim, mapped back without conversion.
+static_assert(std::endian::native == std::endian::little,
+              "SQSIMDB3 maps little-endian arrays in place");
+
 namespace {
 
+using util::Fnv1a64;
+
 // 7-byte format tag + 1-byte version; see docs/DATASETS.md for the specs
-// and the versioning policy. Save() writes v1, SaveV2() writes v2, Load*
-// dispatches on the version byte.
+// and the versioning policy. Save() writes v1, SaveV2() writes v3, Load*
+// dispatches on the version byte. Version 2 is read-only.
 constexpr char kMagic[8] = {'S', 'Q', 'S', 'I', 'M', 'D', 'B', '1'};
 constexpr char kVersion1 = '1';
 constexpr char kVersion2 = '2';
+constexpr char kVersion3 = '3';
+constexpr const char* kReadableVersions =
+    "' (this build reads versions '1', '2' and '3')";
 constexpr char kFooterMagic[8] = {'S', 'Q', 'S', 'I', 'M', 'F', 'T', '2'};
 constexpr size_t kFooterBytes = 32;  // dir offset/length/checksum + magic
 
@@ -67,7 +82,7 @@ bool GetVarint(std::istream& in, uint64_t* value) {
   }
 }
 
-void PutString(const std::string& s, std::ostream& out) {
+void PutString(std::string_view s, std::ostream& out) {
   PutVarint(s.size(), out);
   out.write(s.data(), static_cast<std::streamsize>(s.size()));
 }
@@ -88,15 +103,6 @@ bool GetString(std::istream& in, std::string* s) {
     length -= take;
   }
   return true;
-}
-
-uint64_t Fnv1a64(std::span<const uint8_t> bytes) {
-  uint64_t hash = 14695981039346656037ull;
-  for (uint8_t b : bytes) {
-    hash ^= b;
-    hash *= 1099511628211ull;
-  }
-  return hash;
 }
 
 void PutU64Le(uint64_t value, std::ostream& out) {
@@ -132,12 +138,13 @@ struct ByteReader {
     }
   }
 
-  bool ReadString(std::string* s) {
+  /// A varint-length-prefixed string, viewed in place.
+  bool ReadString(std::string_view* s) {
     uint64_t length = 0;
     if (!ReadVarint(&length)) return false;
     if (length > data.size() - pos) return false;
-    s->assign(reinterpret_cast<const char*>(data.data() + pos),
-              static_cast<size_t>(length));
+    *s = {reinterpret_cast<const char*>(data.data() + pos),
+          static_cast<size_t>(length)};
     pos += static_cast<size_t>(length);
     return true;
   }
@@ -200,8 +207,8 @@ V2Block BuildPredicateBlock(const GraphDatabase& db, uint32_t p) {
   return block;
 }
 
-/// Serializes the dictionary block (shared verbatim between v1 and v2
-/// after the magic): node/predicate counts, then names + literal flags.
+/// Serializes the v1 dictionary block (which v2 shares after the magic):
+/// node/predicate counts, then names + literal flags.
 void WriteDictionary(const GraphDatabase& db, std::ostream& out) {
   PutVarint(db.NumNodes(), out);
   PutVarint(db.NumPredicates(), out);
@@ -213,6 +220,74 @@ void WriteDictionary(const GraphDatabase& db, std::ostream& out) {
     PutString(db.predicates().Name(p), out);
   }
 }
+
+// SQSIMDB3 dictionary block: a header of six u64 counts and a checksum,
+// then 8-byte-aligned sections (docs/DATASETS.md has the byte layout). The
+// block is handled as 64-bit words throughout, so its checksum is FNV-1a
+// over words rather than bytes: a mapped block is re-validated on every
+// open, and a word step costs what a byte step does.
+constexpr size_t kDictCountWords = 6;
+constexpr size_t kDictHeaderWords = kDictCountWords + 1;
+
+uint64_t DictionaryChecksum(std::span<const uint64_t> block) {
+  return util::Fnv1a64Words(block.subspan(kDictHeaderWords),
+                            util::Fnv1a64Words(block.first(kDictCountWords)));
+}
+
+/// Appends `values` as raw bytes, zero-padded to whole words.
+template <typename T>
+void AppendSection(std::span<const T> values, std::vector<uint64_t>* block) {
+  const size_t at = block->size();
+  block->resize(at + (values.size_bytes() + 7) / 8, 0);
+  if (!values.empty()) {
+    std::memcpy(block->data() + at, values.data(), values.size_bytes());
+  }
+}
+
+/// The SQSIMDB3 dictionary block: both dictionaries' arrays verbatim plus
+/// the literal flags as a bitmap. A pure function of the dictionaries.
+std::vector<uint64_t> BuildFlatDictionary(const GraphDatabase& db) {
+  const Dictionary& nodes = db.nodes();
+  const Dictionary& predicates = db.predicates();
+  std::vector<uint64_t> block = {nodes.size(),
+                                 nodes.blob().size(),
+                                 nodes.buckets().size(),
+                                 predicates.size(),
+                                 predicates.blob().size(),
+                                 predicates.buckets().size(),
+                                 0};  // checksum, filled in last
+  std::vector<uint64_t> literal((nodes.size() + 63) / 64, 0);
+  for (uint32_t node = 0; node < nodes.size(); ++node) {
+    if (db.IsLiteral(node)) literal[node / 64] |= uint64_t{1} << (node % 64);
+  }
+  auto append_dictionary = [&](const Dictionary& dict) {
+    AppendSection(dict.offsets(), &block);
+    AppendSection(dict.buckets(), &block);
+    AppendSection(dict.blob(), &block);
+  };
+  append_dictionary(nodes);
+  AppendSection(std::span<const uint64_t>(literal), &block);
+  append_dictionary(predicates);
+  block[kDictCountWords] = DictionaryChecksum(block);
+  return block;
+}
+
+/// Bounds-checked cursor over the word-aligned sections of an SQSIMDB3
+/// dictionary block.
+struct SectionReader {
+  std::span<const uint64_t> words;
+  size_t pos = 0;  ///< in words
+
+  template <typename T>
+  bool Take(uint64_t count, std::span<const T>* out) {
+    const size_t room = words.size() - pos;
+    if (count > room * (sizeof(uint64_t) / sizeof(T))) return false;
+    *out = {reinterpret_cast<const T*>(words.data() + pos),
+            static_cast<size_t>(count)};
+    pos += (static_cast<size_t>(count) * sizeof(T) + 7) / 8;
+    return true;
+  }
+};
 
 void WriteDirectoryAndFooter(const std::vector<V2DirEntry>& dir,
                              uint64_t dir_offset, std::ostream& out) {
@@ -255,8 +330,9 @@ util::Status CommitTempFile(std::ofstream& out, const std::string& tmp,
   return util::Status::Ok();
 }
 
-/// The mmap-backed decode-on-fault reader of SQSIMDB2 predicate blocks.
-/// Owns either a real mapping or (fallback / stream loads) a heap buffer.
+/// The mmap-backed decode-on-fault reader of SQSIMDB2/3 predicate blocks.
+/// Owns either a real mapping or (fallback / stream loads) a heap buffer,
+/// aligned either way so SQSIMDB3 dictionary arrays are read in place.
 class MmapBacking : public OutOfCoreBacking {
  public:
   using OutOfCoreBacking::AttachSlot;  // loader wires slots up
@@ -265,9 +341,17 @@ class MmapBacking : public OutOfCoreBacking {
     if (map_base_ != nullptr) ::munmap(map_base_, map_len_);
   }
 
-  static std::shared_ptr<MmapBacking> FromBuffer(std::string buffer) {
+  /// Buffers `prefix` followed by the rest of `in`.
+  static std::shared_ptr<MmapBacking> FromStream(std::span<const char> prefix,
+                                                 std::istream& in) {
+    std::string bytes(prefix.begin(), prefix.end());
+    char block[1 << 16];
+    while (in.read(block, sizeof(block)) || in.gcount() > 0) {
+      bytes.append(block, static_cast<size_t>(in.gcount()));
+    }
     auto backing = std::make_shared<MmapBacking>();
-    backing->buffer_ = std::move(buffer);
+    backing->Allocate(bytes.size());
+    std::memcpy(backing->buffer_.get(), bytes.data(), bytes.size());
     return backing;
   }
 
@@ -292,11 +376,11 @@ class MmapBacking : public OutOfCoreBacking {
       } else {
         // Filesystems without mmap support: same lazy semantics over a
         // heap copy of the file.
-        backing->buffer_.resize(len);
+        backing->Allocate(len);
         size_t done = 0;
         while (done < len) {
-          ssize_t got = ::read(fd, backing->buffer_.data() + done,
-                               len - done);
+          ssize_t got =
+              ::read(fd, backing->buffer_.get() + done, len - done);
           if (got <= 0) {
             ::close(fd);
             return util::Status::Error("cannot read " + path);
@@ -313,8 +397,7 @@ class MmapBacking : public OutOfCoreBacking {
     if (map_base_ != nullptr) {
       return {static_cast<const uint8_t*>(map_base_), map_len_};
     }
-    return {reinterpret_cast<const uint8_t*>(buffer_.data()),
-            buffer_.size()};
+    return {reinterpret_cast<const uint8_t*>(buffer_.get()), buffer_len_};
   }
 
   size_t num_nodes = 0;
@@ -407,18 +490,135 @@ class MmapBacking : public OutOfCoreBacking {
     return util::Status::Ok();
   }
 
+  /// A byte array provides storage for the dictionary arrays that are
+  /// read from it in place, and new[] aligns it for any of them.
+  void Allocate(size_t len) {
+    buffer_.reset(new std::byte[len]);
+    buffer_len_ = len;
+  }
+
   void* map_base_ = nullptr;
   size_t map_len_ = 0;
-  std::string buffer_;
+  std::unique_ptr<std::byte[]> buffer_;  ///< heap copy when not mapped
+  size_t buffer_len_ = 0;
 };
+
+/// The dictionaries and literal flags of an SQSIMDB2/3 file, plus the file
+/// offset where the dictionary block ends.
+struct OpenedDictionary {
+  std::shared_ptr<const Dictionary> nodes;
+  std::shared_ptr<const Dictionary> predicates;
+  std::shared_ptr<const std::vector<bool>> is_literal;
+  uint64_t end = 0;
+};
+
+/// Reads a v2 dictionary block (the v1 encoding) by interning every name.
+util::Result<OpenedDictionary> InternV2Dictionary(
+    std::span<const uint8_t> region) {
+  ByteReader dict{region};
+  uint64_t num_nodes = 0, num_predicates = 0;
+  if (!dict.ReadVarint(&num_nodes) || !dict.ReadVarint(&num_predicates)) {
+    return util::Status::Error("truncated header");
+  }
+  if (num_nodes > UINT32_MAX || num_predicates > UINT32_MAX) {
+    return util::Status::Error(
+        "corrupt header: counts exceed the 32-bit id space");
+  }
+  // Every node entry takes at least two bytes (length and literal flag),
+  // which bounds the up-front reservation by the block's real size.
+  if (num_nodes > dict.remaining() / 2) {
+    return util::Status::Error("truncated nodes");
+  }
+  auto nodes = std::make_shared<Dictionary>();
+  auto predicates = std::make_shared<Dictionary>();
+  auto is_literal = std::make_shared<std::vector<bool>>();
+  nodes->Reserve(num_nodes);
+  is_literal->reserve(num_nodes);
+  std::string_view name;
+  for (uint64_t i = 0; i < num_nodes; ++i) {
+    uint8_t literal = 0;
+    if (!dict.ReadString(&name) || !dict.ReadByte(&literal)) {
+      return util::Status::Error("truncated nodes");
+    }
+    if (nodes->Intern(name) != i) {
+      return util::Status::Error("duplicate node entry");
+    }
+    is_literal->push_back(literal != 0);
+  }
+  for (uint64_t p = 0; p < num_predicates; ++p) {
+    if (!dict.ReadString(&name)) {
+      return util::Status::Error("truncated predicates");
+    }
+    if (predicates->Intern(name) != p) {
+      return util::Status::Error("duplicate predicate entry");
+    }
+  }
+  return OpenedDictionary{std::move(nodes), std::move(predicates),
+                          std::move(is_literal), dict.pos};
+}
+
+/// Maps a v3 dictionary block in place: validates it (checksum, section
+/// bounds, then Dictionary::Map's structural rules) without allocating per
+/// name. `owner` keeps the bytes alive for the dictionaries' lifetime.
+util::Result<OpenedDictionary> MapV3Dictionary(
+    std::span<const uint8_t> region, std::shared_ptr<const void> owner) {
+  // The region starts 8 bytes into an 8-byte-aligned mapping or buffer.
+  const std::span<const uint64_t> words(
+      reinterpret_cast<const uint64_t*>(region.data()), region.size() / 8);
+  if (words.size() < kDictHeaderWords) {
+    return util::Status::Error("truncated dictionary header");
+  }
+  const uint64_t num_nodes = words[0];
+  const uint64_t num_predicates = words[3];
+  if (num_nodes >= UINT32_MAX || num_predicates >= UINT32_MAX) {
+    return util::Status::Error(
+        "corrupt header: counts exceed the 32-bit id space");
+  }
+  SectionReader sections{words, kDictHeaderWords};
+  std::span<const uint64_t> node_offsets, predicate_offsets, literal;
+  std::span<const uint32_t> node_buckets, predicate_buckets;
+  std::span<const char> node_blob, predicate_blob;
+  if (!sections.Take(num_nodes + 1, &node_offsets) ||
+      !sections.Take(words[2], &node_buckets) ||
+      !sections.Take(words[1], &node_blob) ||
+      !sections.Take((num_nodes + 63) / 64, &literal) ||
+      !sections.Take(num_predicates + 1, &predicate_offsets) ||
+      !sections.Take(words[5], &predicate_buckets) ||
+      !sections.Take(words[4], &predicate_blob)) {
+    return util::Status::Error("truncated dictionary section");
+  }
+  if (DictionaryChecksum(words.first(sections.pos)) !=
+      words[kDictCountWords]) {
+    return util::Status::Error("dictionary checksum mismatch");
+  }
+  auto nodes = Dictionary::Map(node_blob, node_offsets, node_buckets, owner);
+  if (!nodes.ok()) {
+    return util::Status::Error("node " + nodes.error_message());
+  }
+  auto predicates = Dictionary::Map(predicate_blob, predicate_offsets,
+                                    predicate_buckets, owner);
+  if (!predicates.ok()) {
+    return util::Status::Error("predicate " + predicates.error_message());
+  }
+  if (num_nodes % 64 != 0 && (literal.back() >> (num_nodes % 64)) != 0) {
+    return util::Status::Error("literal flags set past the last node");
+  }
+  auto is_literal = std::make_shared<std::vector<bool>>(num_nodes);
+  for (uint32_t node = 0; node < num_nodes; ++node) {
+    (*is_literal)[node] = (literal[node / 64] >> (node % 64)) & 1;
+  }
+  return OpenedDictionary{std::move(nodes).value(),
+                          std::move(predicates).value(), is_literal,
+                          sections.pos * sizeof(uint64_t)};
+}
 
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// V2 open path (footer -> directory -> dictionary -> lazy slots)
+// SQSIMDB2/3 open path (footer -> directory -> dictionary -> lazy slots)
 // ---------------------------------------------------------------------------
 
-class BinaryIo::V2Loader {
+class BinaryIo::MappedLoader {
  public:
   static util::Result<GraphDatabase> Open(std::shared_ptr<MmapBacking> backing,
                                           const LoadOptions& options) {
@@ -450,41 +650,16 @@ class BinaryIo::V2Loader {
     }
 
     // Dictionary block, directly after the magic.
-    ByteReader dict{file.subspan(sizeof(kMagic),
-                                 static_cast<size_t>(dir_offset) -
-                                     sizeof(kMagic))};
-    uint64_t num_nodes = 0, num_predicates = 0;
-    if (!dict.ReadVarint(&num_nodes) || !dict.ReadVarint(&num_predicates)) {
-      return util::Status::Error("truncated header");
-    }
-    if (num_nodes > UINT32_MAX || num_predicates > UINT32_MAX) {
-      return util::Status::Error(
-          "corrupt header: counts exceed the 32-bit id space");
-    }
-    auto nodes = std::make_shared<Dictionary>();
-    auto predicates = std::make_shared<Dictionary>();
-    auto is_literal = std::make_shared<std::vector<bool>>();
-    is_literal->reserve(num_nodes);
-    std::string name;
-    for (uint64_t i = 0; i < num_nodes; ++i) {
-      uint8_t literal = 0;
-      if (!dict.ReadString(&name) || !dict.ReadByte(&literal)) {
-        return util::Status::Error("truncated nodes");
-      }
-      if (nodes->Intern(name) != i) {
-        return util::Status::Error("duplicate node entry");
-      }
-      is_literal->push_back(literal != 0);
-    }
-    for (uint64_t p = 0; p < num_predicates; ++p) {
-      if (!dict.ReadString(&name)) {
-        return util::Status::Error("truncated predicates");
-      }
-      if (predicates->Intern(name) != p) {
-        return util::Status::Error("duplicate predicate entry");
-      }
-    }
-    const uint64_t dict_end = sizeof(kMagic) + dict.pos;
+    const std::span<const uint8_t> dict_region = file.subspan(
+        sizeof(kMagic), static_cast<size_t>(dir_offset) - sizeof(kMagic));
+    auto opened = file[7] == static_cast<uint8_t>(kVersion3)
+                      ? MapV3Dictionary(dict_region, backing)
+                      : InternV2Dictionary(dict_region);
+    if (!opened.ok()) return opened.status();
+    OpenedDictionary& dict = opened.value();
+    const uint64_t num_nodes = dict.nodes->size();
+    const uint64_t num_predicates = dict.predicates->size();
+    const uint64_t dict_end = sizeof(kMagic) + dict.end;
 
     // Per-predicate directory; every block's bounds are validated here so
     // the fault path can index the mapping without re-checking.
@@ -522,9 +697,9 @@ class BinaryIo::V2Loader {
     backing->num_nodes = static_cast<size_t>(num_nodes);
 
     GraphDatabase db;
-    db.nodes_ = nodes;
-    db.predicates_ = predicates;
-    db.is_literal_ = is_literal;
+    db.nodes_ = std::move(dict.nodes);
+    db.predicates_ = std::move(dict.predicates);
+    db.is_literal_ = std::move(dict.is_literal);
     db.num_triples_ = static_cast<size_t>(total_nnz);
     db.generation_ = GraphDatabase::NextGeneration();
     db.backing_ = backing;
@@ -583,16 +758,25 @@ util::Status BinaryIo::SaveFile(const GraphDatabase& db,
   return CommitTempFile(out, tmp, path);
 }
 
+namespace {
+
+/// Writes the SQSIMDB3 magic and dictionary block; returns the file offset
+/// of the first predicate block.
+uint64_t WriteV3Head(const GraphDatabase& db, std::ostream& out) {
+  const std::vector<uint64_t> dict = BuildFlatDictionary(db);
+  const size_t dict_bytes = dict.size() * sizeof(uint64_t);
+  out.write(kMagic, sizeof(kMagic) - 1);
+  out.put(kVersion3);
+  out.write(reinterpret_cast<const char*>(dict.data()),
+            static_cast<std::streamsize>(dict_bytes));
+  return sizeof(kMagic) + dict_bytes;
+}
+
+}  // namespace
+
 void BinaryIo::SaveV2(const GraphDatabase& db, std::ostream& out) {
   ResidencyPin pin = db.PinResidency();
-  std::ostringstream dict;
-  WriteDictionary(db, dict);
-  const std::string dict_bytes = dict.str();
-  out.write(kMagic, sizeof(kMagic) - 1);
-  out.put(kVersion2);
-  out.write(dict_bytes.data(),
-            static_cast<std::streamsize>(dict_bytes.size()));
-  uint64_t offset = sizeof(kMagic) + dict_bytes.size();
+  uint64_t offset = WriteV3Head(db, out);
   std::vector<V2DirEntry> dir(db.NumPredicates());
   for (uint32_t p = 0; p < db.NumPredicates(); ++p) {
     V2Block block = BuildPredicateBlock(db, p);
@@ -611,14 +795,7 @@ util::Status BinaryIo::SaveV2File(const GraphDatabase& db,
   const std::string tmp = path + ".tmp";
   std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
   if (!out) return util::Status::Error("cannot write " + tmp);
-
-  std::ostringstream dict;
-  WriteDictionary(db, dict);
-  const std::string dict_bytes = dict.str();
-  out.write(kMagic, sizeof(kMagic) - 1);
-  out.put(kVersion2);
-  out.write(dict_bytes.data(),
-            static_cast<std::streamsize>(dict_bytes.size()));
+  uint64_t offset = WriteV3Head(db, out);
 
   // Producer queue: workers compress per-predicate blocks ahead of the
   // file cursor while this thread writes finished blocks in predicate
@@ -628,7 +805,6 @@ util::Status BinaryIo::SaveV2File(const GraphDatabase& db,
   util::ThreadPool pool(util::ThreadPool::ResolveThreadCount(threads));
   const size_t window = 2 * pool.NumThreads() + 2;
   std::deque<std::future<V2Block>> inflight;
-  uint64_t offset = sizeof(kMagic) + dict_bytes.size();
   std::vector<V2DirEntry> dir(db.NumPredicates());
   uint32_t next_write = 0;
   auto drain_one = [&] {
@@ -671,6 +847,11 @@ util::Result<GraphDatabase> LoadV1Body(std::istream& in) {
   }
 
   GraphDatabaseBuilder builder;
+  // The stream's length is unknown here, so a corrupt count may promise
+  // far more names than follow: reserve at most kV1ReserveCap up front and
+  // let interning grow past it.
+  constexpr uint64_t kV1ReserveCap = uint64_t{1} << 20;
+  builder.ReserveNodes(static_cast<size_t>(std::min(num_nodes, kV1ReserveCap)));
   std::string name;
   for (uint64_t i = 0; i < num_nodes; ++i) {
     if (!GetString(in, &name)) return util::Status::Error("truncated nodes");
@@ -759,22 +940,16 @@ util::Result<GraphDatabase> BinaryIo::Load(std::istream& in) {
         "written by BinaryIo::Save / sparqlsim_ingest)");
   }
   if (magic[7] == kVersion1) return LoadV1Body(in);
-  if (magic[7] == kVersion2) {
-    // Stream loads are necessarily eager: slurp the remainder and decode
+  if (magic[7] == kVersion2 || magic[7] == kVersion3) {
+    // Stream loads are necessarily eager: buffer the remainder and decode
     // through the same validated in-memory path as the mmap reader.
-    std::string buffer(magic, sizeof(magic));
-    char block[1 << 16];
-    while (in.read(block, sizeof(block)) || in.gcount() > 0) {
-      buffer.append(block, static_cast<size_t>(in.gcount()));
-    }
     LoadOptions options;
     options.eager = true;
-    return V2Loader::Open(MmapBacking::FromBuffer(std::move(buffer)),
-                          options);
+    return MappedLoader::Open(MmapBacking::FromStream(magic, in), options);
   }
   return util::Status::Error(
       std::string("unsupported sparqlsim database version '") + magic[7] +
-      "' (this build reads versions '1' and '2')");
+      kReadableVersions);
 }
 
 util::Result<GraphDatabase> BinaryIo::LoadFile(const std::string& path,
@@ -797,14 +972,14 @@ util::Result<GraphDatabase> BinaryIo::LoadFile(const std::string& path,
     std::ifstream in(path, std::ios::binary);
     return Load(in);
   }
-  if (magic[7] != kVersion2) {
+  if (magic[7] != kVersion2 && magic[7] != kVersion3) {
     return util::Status::Error(
         std::string("unsupported sparqlsim database version '") + magic[7] +
-        "' (this build reads versions '1' and '2')");
+        kReadableVersions);
   }
   auto backing = MmapBacking::FromFile(path);
   if (!backing.ok()) return backing.status();
-  return V2Loader::Open(std::move(backing).value(), options);
+  return MappedLoader::Open(std::move(backing).value(), options);
 }
 
 }  // namespace sparqlsim::graph

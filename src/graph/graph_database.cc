@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <string>
 #include <utility>
 
 #include "util/gap_codec.h"
@@ -35,6 +36,11 @@ uint32_t GraphDatabaseBuilder::InternPredicate(std::string_view name) {
   return predicates_->Intern(name);
 }
 
+void GraphDatabaseBuilder::ReserveNodes(size_t nodes) {
+  nodes_->Reserve(nodes);
+  is_literal_->reserve(nodes);
+}
+
 util::Status GraphDatabaseBuilder::AddTriple(std::string_view s,
                                              std::string_view p,
                                              std::string_view o) {
@@ -62,7 +68,7 @@ util::Status GraphDatabaseBuilder::AddTripleIds(uint32_t s, uint32_t p,
     return util::Status::Error("triple references unknown id");
   }
   if ((*is_literal_)[s]) {
-    return util::Status::Error("literal '" + nodes_->Name(s) +
+    return util::Status::Error("literal '" + std::string(nodes_->Name(s)) +
                                "' used in subject position (Def. 1)");
   }
   triples_.push_back({s, p, o});
@@ -355,7 +361,11 @@ GraphDatabase GraphDatabase::RebuildChanged(
     auto& entries = per_predicate[p];
     std::sort(entries.begin(), entries.end());
     entries.erase(std::unique(entries.begin(), entries.end()), entries.end());
-    if (SlabMatches(slots_[p]->Get(), entries)) {
+    // Slot metadata settles most predicates: a count mismatch is a change,
+    // and an empty list matching an empty predicate is none. Only the rest
+    // fault their slab in to compare.
+    if (slots_[p]->nnz == entries.size() &&
+        (entries.empty() || SlabMatches(slots_[p]->Get(), entries))) {
       db.slots_.push_back(slots_[p]);  // COW: share the unchanged slot
     } else {
       db.slots_.push_back(MakeEagerSlot(BuildSlab(n, std::move(entries))));

@@ -68,6 +68,10 @@ class GraphDatabaseBuilder {
   /// Interns a predicate (edge label in the alphabet Sigma).
   uint32_t InternPredicate(std::string_view name);
 
+  /// Sizes the node dictionary for `nodes` names up front (the binary
+  /// loaders know the count from the header).
+  void ReserveNodes(size_t nodes);
+
   /// Adds (s, p, o) where all three are IRI-like names.
   util::Status AddTriple(std::string_view s, std::string_view p,
                          std::string_view o);

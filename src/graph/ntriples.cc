@@ -318,7 +318,7 @@ util::Status AddStatement(const internal::Statement& statement,
                             statement.object);
 }
 
-std::string EscapeLiteral(const std::string& text) {
+std::string EscapeLiteral(std::string_view text) {
   std::string out;
   out.reserve(text.size());
   for (char c : text) {
@@ -337,7 +337,7 @@ std::string EscapeLiteral(const std::string& text) {
 /// Only names the parser would read back as the same blank node are
 /// written bare; a `_:` name with out-of-alphabet characters falls back
 /// to the (escaped) IRI spelling so round-trips never lose it.
-bool IsBlankName(const std::string& name) {
+bool IsBlankName(std::string_view name) {
   if (name.size() <= 2 || name[0] != '_' || name[1] != ':') return false;
   for (size_t i = 2; i < name.size(); ++i) {
     if (!internal::IsBlankLabelChar(name[i])) return false;
@@ -348,7 +348,7 @@ bool IsBlankName(const std::string& name) {
 /// Writes `<name>`, \u-escaping the characters that would corrupt the
 /// line grammar on re-parse ('>' ends the IRI early, a raw backslash
 /// could splice a `\u` escape, controls break the line structure).
-void WriteIriEscaped(const std::string& name, std::ostream& out) {
+void WriteIriEscaped(std::string_view name, std::ostream& out) {
   out.put('<');
   for (char raw : name) {
     unsigned char c = static_cast<unsigned char>(raw);
@@ -430,7 +430,7 @@ util::Status NTriples::LoadFileParallel(const std::string& path,
 
 void NTriples::Write(const GraphDatabase& db, std::ostream& out) {
   auto write_node = [&](uint32_t node) {
-    const std::string& name = db.nodes().Name(node);
+    const std::string_view name = db.nodes().Name(node);
     if (IsBlankName(name)) {
       out << name;
     } else {

@@ -281,6 +281,7 @@ class ParserImpl {
       pending.clear();
       if (!acc) {
         acc = std::move(bgp);
+        ++nodes_;
       } else if (acc->IsBgp()) {
         // BGP AND BGP is the merged BGP (standard algebra simplification).
         std::vector<TriplePattern> merged = acc->triples();
@@ -288,10 +289,13 @@ class ParserImpl {
         acc = Pattern::Bgp(std::move(merged));
       } else {
         acc = Pattern::Join(std::move(acc), std::move(bgp));
+        nodes_ += 2;
       }
     };
 
     while (true) {
+      // Checked once per element: each adds at most three nodes.
+      if (nodes_ > Parser::kMaxPatternNodes) return TooManyNodes();
       if (PeekPunct("}")) {
         Advance();
         break;
@@ -301,14 +305,19 @@ class ParserImpl {
         flush();
         auto rhs = ParseGroup();
         if (!rhs.ok()) return rhs.status();
-        if (!acc) acc = Pattern::Bgp({});
+        if (!acc) {
+          acc = Pattern::Bgp({});
+          ++nodes_;
+        }
         acc = Pattern::Optional(std::move(acc), std::move(rhs).value());
+        ++nodes_;
         continue;
       }
       if (PeekPunct("{")) {
         flush();
         auto sub = ParseGroupOrUnion();
         if (!sub.ok()) return sub.status();
+        if (acc) ++nodes_;  // the AND node
         acc = acc ? Pattern::Join(std::move(acc), std::move(sub).value())
                   : std::move(sub).value();
         continue;
@@ -321,7 +330,11 @@ class ParserImpl {
       if (PeekPunct(".")) Advance();
     }
     flush();
-    if (!acc) acc = Pattern::Bgp({});
+    if (!acc) {
+      acc = Pattern::Bgp({});
+      ++nodes_;
+    }
+    if (nodes_ > Parser::kMaxPatternNodes) return TooManyNodes();
     return acc;
   }
 
@@ -334,8 +347,14 @@ class ParserImpl {
       auto right = ParseGroup();
       if (!right.ok()) return right;
       acc = Pattern::Union(std::move(acc), std::move(right).value());
+      ++nodes_;
     }
     return acc;
+  }
+
+  util::Status TooManyNodes() const {
+    return Fail("pattern has more than " +
+                std::to_string(Parser::kMaxPatternNodes) + " nodes");
   }
 
   util::Result<TriplePattern> ParseTriple() {
@@ -412,6 +431,7 @@ class ParserImpl {
   std::vector<Token> tokens_;
   size_t pos_ = 0;
   size_t depth_ = 0;  // groups currently open in ParseGroup
+  size_t nodes_ = 0;  // pattern-tree nodes built so far
   std::map<std::string, std::string> prefixes_;
 };
 

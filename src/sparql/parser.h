@@ -27,12 +27,16 @@ namespace sparqlsim::sparql {
 /// variable predicate is a parse error.
 ///
 /// Groups nest at most kMaxGroupDepth deep (the WHERE group is depth 1;
-/// every nested, OPTIONAL and UNION group adds one). Deeper input is a
-/// parse error rather than unbounded recursion, so a hostile query cannot
-/// exhaust the stack.
+/// every nested, OPTIONAL and UNION group adds one), and a pattern tree
+/// holds at most kMaxPatternNodes nodes (BGP, AND, OPTIONAL and UNION).
+/// Larger input is a parse error: sibling groups fold into a left-deep
+/// chain as deep as they are many, and every later pass over the tree
+/// (union normal form, printing, destruction) recurses along it, so a
+/// hostile query could otherwise exhaust the stack.
 class Parser {
  public:
   static constexpr size_t kMaxGroupDepth = 256;
+  static constexpr size_t kMaxPatternNodes = 4096;
 
   /// Parses a full SELECT query.
   static util::Result<Query> Parse(std::string_view text);

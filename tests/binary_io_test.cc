@@ -2,13 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <optional>
+#include <span>
 #include <sstream>
 
 #include "datagen/lubm.h"
 #include "datagen/movies.h"
 #include "datagen/random_graphs.h"
 #include "graph/ntriples.h"
+#include "util/fnv1a.h"
+#include "util/rng.h"
 
 namespace sparqlsim::graph {
 namespace {
@@ -19,10 +25,12 @@ void ExpectSameDatabase(const GraphDatabase& a, const GraphDatabase& b) {
   ASSERT_EQ(a.NumTriples(), b.NumTriples());
   for (uint32_t node = 0; node < a.NumNodes(); ++node) {
     EXPECT_EQ(a.nodes().Name(node), b.nodes().Name(node));
+    EXPECT_EQ(b.nodes().Lookup(a.nodes().Name(node)), node);
     EXPECT_EQ(a.IsLiteral(node), b.IsLiteral(node));
   }
   for (uint32_t p = 0; p < a.NumPredicates(); ++p) {
     EXPECT_EQ(a.predicates().Name(p), b.predicates().Name(p));
+    EXPECT_EQ(b.predicates().Lookup(a.predicates().Name(p)), p);
     EXPECT_EQ(a.PredicateCardinality(p), b.PredicateCardinality(p));
   }
   std::vector<Triple> ta = a.AllTriples();
@@ -282,7 +290,9 @@ TEST(BinaryIoV2Test, FileWriterThreadCountNeverChangesTheBytes) {
   GraphDatabase db = datagen::MakeRandomDatabase(config);
 
   std::string reference = SaveV2Bytes(db);
-  for (size_t threads : {size_t{1}, size_t{4}}) {
+  EXPECT_EQ(reference.substr(0, 8), "SQSIMDB3");
+  for (size_t threads : {size_t{0}, size_t{1}, size_t{2}, size_t{4},
+                         size_t{8}}) {
     const std::string path =
         "/tmp/sparqlsim_v2_threads_" + std::to_string(threads) + ".gdb";
     ASSERT_TRUE(BinaryIo::SaveV2File(db, path, threads).ok());
@@ -393,6 +403,336 @@ TEST(BinaryIoV2Test, RejectsTruncation) {
     auto loaded = BinaryIo::Load(truncated);
     EXPECT_FALSE(loaded.ok()) << "cut at " << cut;
   }
+}
+
+// --- SQSIMDB3: the frozen v2 fixture and the mapped dictionary ----------
+
+// The graph behind tests/data/movies_v2.gdb. That file was written by the
+// last SQSIMDB2 writer and is never regenerated: it pins the v2 reader.
+// The graph is the Fig. 1(a) movie graph re-interned in its own id order,
+// plus a blank node, a 200-byte name, an escaped and an empty literal, a
+// 200-edge chain (ids past the one-byte varint range) and an isolated node.
+GraphDatabase FixtureGraph() {
+  GraphDatabase movies = datagen::MakeMovieDatabase();
+  GraphDatabaseBuilder builder;
+  for (uint32_t node = 0; node < movies.NumNodes(); ++node) {
+    if (movies.IsLiteral(node)) {
+      builder.InternLiteral(movies.nodes().Name(node));
+    } else {
+      builder.InternNode(movies.nodes().Name(node));
+    }
+  }
+  for (uint32_t p = 0; p < movies.NumPredicates(); ++p) {
+    builder.InternPredicate(movies.predicates().Name(p));
+  }
+  movies.ForEachTriple([&](const Triple& t) {
+    EXPECT_TRUE(builder.AddTripleIds(t.subject, t.predicate, t.object).ok());
+  });
+  EXPECT_TRUE(builder.AddTriple("_:b0", "knows", std::string(200, 'x')).ok());
+  EXPECT_TRUE(
+      builder.AddTripleLiteral("_:b0", "label", "caf\xc3\xa9 \"quoted\"\n")
+          .ok());
+  EXPECT_TRUE(builder.AddTripleLiteral("_:b0", "label", "").ok());
+  for (int i = 0; i < 200; ++i) {
+    EXPECT_TRUE(builder
+                    .AddTriple("n" + std::to_string(i), "next",
+                               "n" + std::to_string(i + 1))
+                    .ok());
+  }
+  builder.InternNode("isolated");
+  return std::move(builder).Build();
+}
+
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
+TEST(BinaryIoV3Test, FrozenV2FixtureLoadsLikeV1AndV3) {
+  GraphDatabase db = FixtureGraph();
+  const std::string fixture =
+      std::string(SPARQLSIM_TEST_DATA_DIR) + "/movies_v2.gdb";
+  ASSERT_EQ(ReadFileBytes(fixture).substr(0, 8), "SQSIMDB2");
+  const std::string v3_path = "/tmp/sparqlsim_fixture_v3.gdb";
+  ASSERT_TRUE(BinaryIo::SaveV2File(db, v3_path).ok());
+  ASSERT_EQ(ReadFileBytes(v3_path).substr(0, 8), "SQSIMDB3");
+
+  BinaryIo::LoadOptions eager;
+  eager.eager = true;
+  std::stringstream v1(SaveV1Bytes(db));
+  std::stringstream v2_stream(ReadFileBytes(fixture));
+  auto from_v1 = BinaryIo::Load(v1);
+  auto from_v2 = BinaryIo::LoadFile(fixture);
+  auto from_v2_eager = BinaryIo::LoadFile(fixture, eager);
+  auto from_v2_stream = BinaryIo::Load(v2_stream);
+  auto from_v3 = BinaryIo::LoadFile(v3_path);
+  auto from_v3_eager = BinaryIo::LoadFile(v3_path, eager);
+  for (const auto* loaded : {&from_v1, &from_v2, &from_v2_eager,
+                             &from_v2_stream, &from_v3, &from_v3_eager}) {
+    ASSERT_TRUE(loaded->ok()) << loaded->error_message();
+    ExpectSameDatabase(db, loaded->value());
+    // Both writers reproduce the fresh graph's bytes from every load.
+    EXPECT_EQ(SaveV1Bytes(loaded->value()), SaveV1Bytes(db));
+    EXPECT_EQ(SaveV2Bytes(loaded->value()), SaveV2Bytes(db));
+  }
+}
+
+TEST(BinaryIoV3Test, MappedDictionaryOutlivesTheOpenedDatabase) {
+  GraphDatabase db = FixtureGraph();
+  const std::string path = "/tmp/sparqlsim_v3_outlive.gdb";
+  ASSERT_TRUE(BinaryIo::SaveV2File(db, path).ok());
+  std::optional<GraphDatabase> opened(BinaryIo::LoadFile(path).value());
+  GraphDatabase restricted = opened->Restrict({});
+  std::shared_ptr<const GraphDatabase> snapshot = opened->Snapshot();
+  opened.reset();
+  std::remove(path.c_str());
+  for (uint32_t node = 0; node < db.NumNodes(); ++node) {
+    EXPECT_EQ(restricted.nodes().Name(node), db.nodes().Name(node));
+    EXPECT_EQ(snapshot->nodes().Lookup(db.nodes().Name(node)), node);
+  }
+}
+
+// An SQSIMDB3 file with its dictionary block's fields located from the
+// header, as docs/DATASETS.md lays them out, so a test can corrupt one
+// field and reseal the checksum to reach the structural checks behind it.
+class V3File {
+ public:
+  explicit V3File(const GraphDatabase& db) : bytes_(SaveV2Bytes(db)) {
+    auto padded = [](uint64_t bytes) { return (bytes + 7) / 8 * 8; };
+    node_offsets_ = 8 + 7 * 8;
+    node_buckets_ = node_offsets_ + (Count(0) + 1) * 8;
+    node_blob_ = node_buckets_ + padded(Count(2) * 4);
+    literal_ = node_blob_ + padded(Count(1));
+    const size_t predicate_offsets = literal_ + (Count(0) + 63) / 64 * 8;
+    const size_t predicate_buckets =
+        predicate_offsets + (Count(3) + 1) * 8;
+    const size_t predicate_blob = predicate_buckets + padded(Count(5) * 4);
+    end_ = predicate_blob + padded(Count(4));
+  }
+
+  /// Header count i: node count, node blob bytes, node bucket count, then
+  /// the same three for predicates.
+  uint64_t Count(int i) const { return Get<uint64_t>(8 + 8 * i); }
+  void SetCount(int i, uint64_t value) { Put<uint64_t>(8 + 8 * i, value); }
+
+  uint64_t NodeOffset(uint32_t id) const {
+    return Get<uint64_t>(node_offsets_ + 8 * id);
+  }
+  void SetNodeOffset(uint32_t id, uint64_t value) {
+    Put<uint64_t>(node_offsets_ + 8 * id, value);
+  }
+  uint32_t NodeBucket(size_t b) const {
+    return Get<uint32_t>(node_buckets_ + 4 * b);
+  }
+  void SetNodeBucket(size_t b, uint32_t id) {
+    Put<uint32_t>(node_buckets_ + 4 * b, id);
+  }
+  size_t FindNodeBucket(bool occupied) const {
+    for (size_t b = 0; b < Count(2); ++b) {
+      if ((NodeBucket(b) != Dictionary::kEmptyBucket) == occupied) return b;
+    }
+    ADD_FAILURE() << "no such bucket";
+    return 0;
+  }
+  size_t node_blob() const { return node_blob_; }
+  size_t literal() const { return literal_; }
+
+  /// Recomputes the dictionary checksum: FNV-1a-64 over the 64-bit words
+  /// of the header counts, then of every section.
+  void Reseal() {
+    std::vector<uint64_t> words((end_ - 8) / 8);
+    std::memcpy(words.data(), bytes_.data() + 8, words.size() * 8);
+    const std::span<const uint64_t> all(words);
+    Put<uint64_t>(8 + 6 * 8,
+                  util::Fnv1a64Words(all.subspan(7),
+                                     util::Fnv1a64Words(all.first(6))));
+  }
+
+  std::string& bytes() { return bytes_; }
+
+  template <typename T>
+  T Get(size_t at) const {
+    T value;
+    std::memcpy(&value, bytes_.data() + at, sizeof(T));
+    return value;
+  }
+  template <typename T>
+  void Put(size_t at, T value) {
+    std::memcpy(bytes_.data() + at, &value, sizeof(T));
+  }
+
+ private:
+  std::string bytes_;
+  size_t node_offsets_, node_buckets_, node_blob_, literal_, end_;
+};
+
+/// Both open paths (stream and mmap) must reject `bytes` with a Status
+/// whose message contains `what`.
+void ExpectRejected(const std::string& bytes, const std::string& what) {
+  std::stringstream in(bytes);
+  auto streamed = BinaryIo::Load(in);
+  ASSERT_FALSE(streamed.ok());
+  EXPECT_NE(streamed.error_message().find(what), std::string::npos)
+      << streamed.error_message();
+  const std::string path = "/tmp/sparqlsim_v3_hostile.gdb";
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << bytes;
+  }
+  auto mapped = BinaryIo::LoadFile(path);
+  ASSERT_FALSE(mapped.ok());
+  EXPECT_NE(mapped.error_message().find(what), std::string::npos)
+      << mapped.error_message();
+}
+
+TEST(BinaryIoV3Test, UntouchedFileLoads) {
+  V3File file(FixtureGraph());
+  file.Reseal();  // the test's layout and checksum agree with the writer's
+  EXPECT_EQ(file.bytes(), SaveV2Bytes(FixtureGraph()));
+  std::stringstream in(file.bytes());
+  ASSERT_TRUE(BinaryIo::Load(in).ok());
+}
+
+TEST(BinaryIoV3Test, RejectsTruncatedSection) {
+  for (int count : {1, 2, 4}) {
+    V3File file(FixtureGraph());
+    file.SetCount(count, file.bytes().size());
+    ExpectRejected(file.bytes(), "truncated dictionary section");
+  }
+}
+
+TEST(BinaryIoV3Test, RejectsNonMonotoneOffsets) {
+  V3File file(FixtureGraph());
+  file.SetNodeOffset(1, file.NodeOffset(2) + 1);
+  file.Reseal();
+  ExpectRejected(file.bytes(), "offsets decrease");
+}
+
+TEST(BinaryIoV3Test, RejectsOffsetsPastTheBlob) {
+  V3File file(FixtureGraph());
+  const uint32_t n = static_cast<uint32_t>(file.Count(0));
+  file.SetNodeOffset(n, file.NodeOffset(n) + 1);
+  file.Reseal();
+  ExpectRejected(file.bytes(), "do not span the name blob");
+}
+
+TEST(BinaryIoV3Test, RejectsBucketIdOutOfRange) {
+  V3File file(FixtureGraph());
+  file.SetNodeBucket(file.FindNodeBucket(/*occupied=*/false),
+                     static_cast<uint32_t>(file.Count(0)));
+  file.Reseal();
+  ExpectRejected(file.bytes(), "out of range");
+}
+
+TEST(BinaryIoV3Test, RejectsMissingId) {
+  V3File file(FixtureGraph());
+  file.SetNodeBucket(file.FindNodeBucket(/*occupied=*/true),
+                     Dictionary::kEmptyBucket);
+  file.Reseal();
+  ExpectRejected(file.bytes(), "misses 1 ids");
+}
+
+TEST(BinaryIoV3Test, RejectsIdInTwoBuckets) {
+  V3File file(FixtureGraph());
+  const uint32_t id = file.NodeBucket(file.FindNodeBucket(/*occupied=*/true));
+  file.SetNodeBucket(file.FindNodeBucket(/*occupied=*/false), id);
+  file.Reseal();
+  ExpectRejected(file.bytes(), "appears in two buckets");
+}
+
+TEST(BinaryIoV3Test, RejectsIdUnreachableFromItsHomeBucket) {
+  // Move an id that sits in its home bucket to an empty bucket elsewhere:
+  // its home bucket is then empty, so a lookup of its name misses it.
+  GraphDatabase db = FixtureGraph();
+  V3File file(db);
+  const size_t mask = file.Count(2) - 1;
+  for (size_t b = 0; b <= mask; ++b) {
+    const uint32_t id = file.NodeBucket(b);
+    if (id == Dictionary::kEmptyBucket) continue;
+    const uint64_t hash = util::Fnv1a64(db.nodes().Name(id));
+    if (((hash ^ (hash >> 32)) & mask) != b) continue;
+    const size_t empty = file.FindNodeBucket(/*occupied=*/false);
+    file.SetNodeBucket(empty, id);
+    file.SetNodeBucket(b, Dictionary::kEmptyBucket);
+    file.Reseal();
+    ExpectRejected(file.bytes(), "not reachable from its home bucket");
+    return;
+  }
+  FAIL() << "no id sits in its home bucket";
+}
+
+TEST(BinaryIoV3Test, RejectsDuplicateNamesUnderAResealedChecksum) {
+  GraphDatabase db = FixtureGraph();
+  V3File file(db);
+  // "n2" becomes a second "n1".
+  const uint32_t n2 = *db.nodes().Lookup("n2");
+  file.bytes()[file.node_blob() + file.NodeOffset(n2) + 1] = '1';
+  file.Reseal();
+  ExpectRejected(file.bytes(), "duplicate dictionary name");
+}
+
+TEST(BinaryIoV3Test, RejectsLiteralFlagsPastTheLastNode) {
+  V3File file(FixtureGraph());
+  ASSERT_NE(file.Count(0) % 64, 0u);
+  const size_t last = file.literal() + (file.Count(0) - 1) / 64 * 8;
+  file.Put<uint64_t>(last, file.Get<uint64_t>(last) | (uint64_t{1} << 63));
+  file.Reseal();
+  ExpectRejected(file.bytes(), "literal flags");
+}
+
+TEST(BinaryIoV3Test, RejectsAFlippedByte) {
+  V3File file(FixtureGraph());
+  for (size_t at : {file.node_blob() + 3, file.literal()}) {
+    std::string bytes = file.bytes();
+    bytes[at] ^= 0x10;
+    ExpectRejected(bytes, "checksum mismatch");
+  }
+}
+
+// Seeded mutation loop: every byte-flipped or truncated copy of a small
+// v3 file must fail with a clean Status or load back identical.
+TEST(BinaryIoV3Test, SeededMutationsFailCleanlyOrReloadIdentically) {
+  constexpr uint64_t kSeed = 20261017;
+  constexpr int kIterations = 3000;
+  std::printf("mutation seed %llu, %d iterations\n",
+              static_cast<unsigned long long>(kSeed), kIterations);
+  GraphDatabase db = FixtureGraph();
+  const std::string original = SaveV2Bytes(db);
+  const std::string path = "/tmp/sparqlsim_v3_mutant.gdb";
+  BinaryIo::LoadOptions eager;
+  eager.eager = true;
+  util::Rng rng(kSeed);
+  int rejected = 0;
+  for (int i = 0; i < kIterations; ++i) {
+    SCOPED_TRACE("seed " + std::to_string(kSeed) + ", iteration " +
+                 std::to_string(i));
+    std::string bytes = original;
+    if (rng.NextBounded(4) == 0) {
+      bytes.resize(rng.NextBounded(bytes.size()));
+    } else {
+      const uint64_t flips = 1 + rng.NextBounded(4);
+      for (uint64_t f = 0; f < flips; ++f) {
+        bytes[rng.NextBounded(bytes.size())] ^=
+            static_cast<char>(1 + rng.NextBounded(255));
+      }
+    }
+    std::stringstream in(bytes);
+    auto streamed = BinaryIo::Load(in);
+    if (i % 4 == 0) {
+      std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+      auto mapped = BinaryIo::LoadFile(path, eager);
+      EXPECT_EQ(mapped.ok(), streamed.ok());
+    }
+    if (!streamed.ok()) {
+      ++rejected;
+      continue;
+    }
+    ExpectSameDatabase(db, streamed.value());
+    EXPECT_EQ(SaveV2Bytes(streamed.value()), original);
+  }
+  EXPECT_GT(rejected, kIterations / 2);
 }
 
 // --- v1 payload hardening (regressions for the varint delta sweep) -------

@@ -154,4 +154,23 @@ TEST_F(CliTest, HostileNestingIsAParseErrorNotACrash) {
   EXPECT_EQ(code, 1);  // a parse error, not a signal (-1)
 }
 
+TEST_F(CliTest, HostileSiblingGroupsAreAParseErrorNotACrash) {
+  const std::string path = "/tmp/sparqlsim_cli_test_siblings.rq";
+  {
+    std::ofstream out(path);
+    out << "SELECT * WHERE { ";
+    for (int i = 0; i < 200000; ++i) out << "{ ?d <directed> ?m . } ";
+    out << "}";
+  }
+  for (const char* command : {" query ", " prune "}) {
+    int code = 0;
+    std::string args = NtPath() + " " + path;
+    if (std::string(command) == " prune ") {
+      args += " /tmp/sparqlsim_cli_test_siblings.nt";
+    }
+    RunCommand(std::string(SPARQLSIM_CLI) + command + args, &code);
+    EXPECT_EQ(code, 1) << command;  // a parse error, not a signal (-1)
+  }
+}
+
 }  // namespace

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <string>
 
 #include "graph/dictionary.h"
 #include "graph/graph.h"
@@ -28,6 +30,56 @@ TEST(DictionaryTest, DenseFirstSeenIds) {
   for (uint32_t i = 0; i < 100; ++i) {
     EXPECT_EQ(d.Intern("n" + std::to_string(i)), i);
   }
+}
+
+TEST(DictionaryTest, EmptyAndEmptyStringNames) {
+  Dictionary d;
+  EXPECT_EQ(d.size(), 0u);
+  EXPECT_FALSE(d.Lookup("").has_value());
+  EXPECT_EQ(d.Intern(""), 0u);
+  EXPECT_EQ(d.Intern("x"), 1u);
+  EXPECT_EQ(d.Lookup(""), 0u);
+  EXPECT_EQ(d.Name(0), "");
+}
+
+// The bucket table is a function of the names (in id order) and their
+// count alone: interning one by one and reserving first build the same
+// bytes, which is what makes SQSIMDB3 files reproducible.
+TEST(DictionaryTest, TableDependsOnlyOnTheNames) {
+  Dictionary grown;
+  Dictionary reserved;
+  reserved.Reserve(1000);
+  for (uint32_t i = 0; i < 1000; ++i) {
+    const std::string name = "node/" + std::to_string(i * 7919 % 1000);
+    grown.Intern(name);
+    ASSERT_EQ(grown.buckets().size(), Dictionary::BucketCount(grown.size()))
+        << "after " << grown.size() << " names";
+    reserved.Intern(name);
+  }
+  EXPECT_TRUE(std::ranges::equal(grown.buckets(), reserved.buckets()));
+  EXPECT_TRUE(std::ranges::equal(grown.offsets(), reserved.offsets()));
+  EXPECT_TRUE(std::ranges::equal(grown.blob(), reserved.blob()));
+}
+
+TEST(DictionaryTest, MapViewsValidArraysWithoutCopying) {
+  Dictionary owned;
+  for (uint32_t i = 0; i < 300; ++i) owned.Intern("n" + std::to_string(i));
+  auto mapped = Dictionary::Map(owned.blob(), owned.offsets(),
+                                owned.buckets(), nullptr);
+  ASSERT_TRUE(mapped.ok()) << mapped.error_message();
+  const Dictionary& d = *mapped.value();
+  EXPECT_EQ(d.size(), owned.size());
+  EXPECT_EQ(d.blob().data(), owned.blob().data());
+  for (uint32_t i = 0; i < 300; ++i) {
+    EXPECT_EQ(d.Name(i), owned.Name(i));
+    EXPECT_EQ(d.Lookup(owned.Name(i)), i);
+  }
+  EXPECT_FALSE(d.Lookup("n300").has_value());
+
+  // A bucket table that is too small for its names is rejected.
+  auto crowded = Dictionary::Map(owned.blob(), owned.offsets(),
+                                 owned.buckets().first(256), nullptr);
+  EXPECT_FALSE(crowded.ok());
 }
 
 TEST(GraphTest, EdgesAndLabels) {

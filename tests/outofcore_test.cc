@@ -219,6 +219,55 @@ TEST(OutOfCoreLazinessTest, QueriesOnlyMaterializeTouchedPredicates) {
   EXPECT_LT(resident, static_cast<size_t>(db.NumPredicates()));
 }
 
+// Restrict after a lazy prune settles every predicate from slot metadata or
+// from the slabs the query already faulted in, so it decodes nothing new —
+// not the predicates the query never read, and not a predicate with no
+// triples. Its result is the eager open's Restrict, triple for triple.
+TEST(OutOfCoreLazinessTest, RestrictAfterPruneMaterializesNothingNew) {
+  datagen::RandomGraphConfig config;
+  config.num_nodes = 200;
+  config.num_edges = 1500;
+  config.num_labels = 8;
+  config.seed = 23;
+  GraphDatabase random = datagen::MakeRandomDatabase(config);
+  graph::GraphDatabaseBuilder builder;
+  for (uint32_t node = 0; node < random.NumNodes(); ++node) {
+    builder.InternNode(random.nodes().Name(node));
+  }
+  for (uint32_t p = 0; p < random.NumPredicates(); ++p) {
+    builder.InternPredicate(random.predicates().Name(p));
+  }
+  builder.InternPredicate("no_triples");
+  random.ForEachTriple([&](const graph::Triple& t) {
+    ASSERT_TRUE(builder.AddTripleIds(t.subject, t.predicate, t.object).ok());
+  });
+  GraphDatabase built = std::move(builder).Build();
+  auto [v1_path, v2_path] = WriteBothFormats(built, "restrict");
+  (void)v1_path;
+
+  auto parsed = sparql::Parser::Parse(
+      "SELECT * WHERE { ?x <p0> ?y . ?y <p1> ?z . }");
+  ASSERT_TRUE(parsed.ok()) << parsed.error_message();
+
+  GraphDatabase lazy = OpenOrDie(v2_path);
+  PruneReport lazy_report =
+      SimEngine(&lazy, SolverOptions{}).Prune(parsed.value());
+  ASSERT_FALSE(lazy_report.kept_triples.empty());
+  const size_t faulted = lazy.backing_stats().materializations;
+  EXPECT_LT(faulted, lazy.NumPredicates());
+  GraphDatabase restricted = lazy.Restrict(lazy_report.kept_triples);
+  EXPECT_EQ(lazy.backing_stats().materializations, faulted);
+
+  BinaryIo::LoadOptions eager_options;
+  eager_options.eager = true;
+  GraphDatabase eager = OpenOrDie(v2_path, eager_options);
+  PruneReport eager_report =
+      SimEngine(&eager, SolverOptions{}).Prune(parsed.value());
+  GraphDatabase eager_restricted = eager.Restrict(eager_report.kept_triples);
+  EXPECT_EQ(restricted.NumTriples(), eager_restricted.NumTriples());
+  EXPECT_EQ(restricted.AllTriples(), eager_restricted.AllTriples());
+}
+
 // ---------------------------------------------------------------------------
 // Eviction: the budget holds once pins drop, and re-faulting is correct
 // ---------------------------------------------------------------------------

@@ -245,5 +245,48 @@ TEST(ParserTest, HostileNestingIsAParseErrorNotACrash) {
   ASSERT_FALSE(pattern.ok());
 }
 
+// The tree size is bounded as well: `count` sibling groups fold into a
+// left-deep AND chain, and `count` UNION arms into a left-deep UNION chain,
+// of 2 * count - 1 nodes each, at nesting depth 2.
+std::string SiblingGroups(size_t count) {
+  std::string q = "SELECT * WHERE { ";
+  for (size_t i = 0; i < count; ++i) q += "{ ?s <p> ?o . } ";
+  return q + "}";
+}
+
+std::string SiblingUnions(size_t count) {
+  std::string q = "SELECT * WHERE { { ?s <p> ?o . } ";
+  for (size_t i = 1; i < count; ++i) q += "UNION { ?s <p> ?o . } ";
+  return q + "}";
+}
+
+void ExpectSizeError(const util::Result<Query>& r) {
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.error_message().find("nodes"), std::string::npos)
+      << r.error_message();
+}
+
+TEST(ParserTest, PatternTreeAtTheSizeLimitParses) {
+  const size_t count = (Parser::kMaxPatternNodes + 1) / 2;
+  for (const std::string& q : {SiblingGroups(count), SiblingUnions(count)}) {
+    auto r = Parser::Parse(q);
+    EXPECT_TRUE(r.ok()) << r.error_message();
+  }
+}
+
+TEST(ParserTest, PatternTreeOneBeyondTheSizeLimitIsAParseError) {
+  const size_t count = (Parser::kMaxPatternNodes + 1) / 2 + 1;
+  ExpectSizeError(Parser::Parse(SiblingGroups(count)));
+  ExpectSizeError(Parser::Parse(SiblingUnions(count)));
+}
+
+TEST(ParserTest, HostileSiblingGroupsAreAParseErrorNotACrash) {
+  ExpectSizeError(Parser::Parse(SiblingGroups(200000)));
+  ExpectSizeError(Parser::Parse(SiblingUnions(200000)));
+  auto pattern = Parser::ParsePattern(
+      SiblingGroups(200000).substr(std::string("SELECT * WHERE ").size()));
+  ASSERT_FALSE(pattern.ok());
+}
+
 }  // namespace
 }  // namespace sparqlsim::sparql

@@ -36,10 +36,11 @@
 //   --db FILE     read the database from a binary SQSIMDB file (as written
 //                 by sparqlsim_ingest or `convert`) and drop the positional
 //                 <data> argument: `sparqlsim --db lubm.gdb stats`.
-//                 SQSIMDB2 files are mmap-ed and loaded lazily per
-//                 predicate.
+//                 SQSIMDB2/3 files are mmap-ed and loaded lazily per
+//                 predicate; an SQSIMDB3 dictionary is mapped, so only
+//                 the query's constants are looked up.
 //   --resident-mb M  resident-byte budget in MiB for lazily opened
-//                 SQSIMDB2 databases (0 = unbounded, the default;
+//                 SQSIMDB2/3 databases (0 = unbounded, the default;
 //                 SPARQLSIM_RESIDENT_MB sets the same knob from the
 //                 environment, the flag wins).
 //
@@ -129,9 +130,10 @@ int CmdStats(const graph::GraphDatabase& db) {
   std::printf("\n%-40s %10s %10s %10s\n", "predicate", "triples", "subjects",
               "objects");
   for (uint32_t p = 0; p < db.NumPredicates(); ++p) {
-    std::printf("%-40s %10zu %10zu %10zu\n", db.predicates().Name(p).c_str(),
-                db.PredicateCardinality(p), db.DistinctSubjects(p),
-                db.DistinctObjects(p));
+    const std::string_view name = db.predicates().Name(p);
+    std::printf("%-40.*s %10zu %10zu %10zu\n", static_cast<int>(name.size()),
+                name.data(), db.PredicateCardinality(p),
+                db.DistinctSubjects(p), db.DistinctObjects(p));
   }
   return 0;
 }
@@ -152,7 +154,8 @@ int PrintSim(const graph::GraphDatabase& db, const sim::PruneReport& report) {
     size_t shown = 0;
     candidates.ForEachSetBit([&](uint32_t node) {
       if (shown++ < 10) {
-        std::printf("  %s\n", db.nodes().Name(node).c_str());
+        const std::string_view name = db.nodes().Name(node);
+        std::printf("  %.*s\n", static_cast<int>(name.size()), name.data());
       }
     });
     if (shown > 10) std::printf("  ... (%zu more)\n", shown - 10);

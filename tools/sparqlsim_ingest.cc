@@ -12,8 +12,9 @@
 //   --chunk-mb M   parallel parse chunk size in MiB (default 8; tuning
 //                  knob only, never changes the output)
 //   --format v1|v2 output format (default v1). v2 is the footer-indexed
-//                  SQSIMDB2 layout that readers mmap and load lazily per
-//                  predicate (see docs/DATASETS.md); v1 stays the default
+//                  layout that readers mmap and load lazily per predicate,
+//                  written as SQSIMDB3: its dictionary block is mapped, not
+//                  interned (see docs/DATASETS.md); v1 stays the default
 //                  so existing checksummed artifacts keep reproducing
 //   --stats        print line/triple/malformed counters and phase timings
 //
@@ -51,7 +52,7 @@ int Usage() {
       "usage: sparqlsim_ingest [--permissive] [--threads N] [--chunk-mb M] "
       "[--format v1|v2] [--stats] <in.nt[.gz]|-> <out.gdb>\n"
       "  converts an N-Triples dump (optionally gzip-compressed, '-' for\n"
-      "  stdin) to the SQSIMDB1 (default) or mmap-able SQSIMDB2 binary\n"
+      "  stdin) to the SQSIMDB1 (default) or mmap-able SQSIMDB3 binary\n"
       "  database format; see docs/DATASETS.md for the end-to-end dataset\n"
       "  workflow\n");
   return 2;
