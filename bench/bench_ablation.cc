@@ -66,9 +66,6 @@ struct VariantRow {
   size_t full_evals = 0;
   size_t cols_cleared = 0;
   size_t blocks_skipped = 0;
-  size_t scratch_reuses = 0;
-  size_t scratch_allocs = 0;
-  size_t words_cleared_sparse = 0;
 };
 
 struct QueryResult {
@@ -105,9 +102,6 @@ QueryResult RunQuery(const char* id, const graph::GraphDatabase& db,
     row.full_evals = solution.stats.full_evals;
     row.cols_cleared = solution.stats.cols_cleared;
     row.blocks_skipped = solution.stats.blocks_skipped;
-    row.scratch_reuses = solution.stats.scratch_reuses;
-    row.scratch_allocs = solution.stats.scratch_allocs;
-    row.words_cleared_sparse = solution.stats.words_cleared_sparse;
     result.rows.push_back(row);
     std::printf("  %-26s %12.5f %7zu %8zu %9zu %9zu %10zu %11zu\n", v.name,
                 seconds, row.rounds, row.updates, row.row_evals, row.col_evals,
@@ -154,14 +148,10 @@ void WriteJson(const std::vector<QueryResult>& results, FILE* out) {
                    "      {\"name\": \"%s\", \"seconds\": %.6f, \"rounds\": "
                    "%zu, \"updates\": %zu, \"row_evals\": %zu, \"col_evals\": "
                    "%zu, \"delta_evals\": %zu, \"full_evals\": %zu, "
-                   "\"cols_cleared\": %zu, \"blocks_skipped\": %zu, "
-                   "\"scratch_reuses\": %zu, \"scratch_allocs\": %zu, "
-                   "\"words_cleared_sparse\": %zu}%s\n",
+                   "\"cols_cleared\": %zu, \"blocks_skipped\": %zu}%s\n",
                    r.name.c_str(), r.seconds, r.rounds, r.updates, r.row_evals,
                    r.col_evals, r.delta_evals, r.full_evals, r.cols_cleared,
-                   r.blocks_skipped, r.scratch_reuses, r.scratch_allocs,
-                   r.words_cleared_sparse,
-                   j + 1 == q.rows.size() ? "" : ",");
+                   r.blocks_skipped, j + 1 == q.rows.size() ? "" : ",");
     }
     std::fprintf(out, "    ]}%s\n", i + 1 == results.size() ? "" : ",");
   }

@@ -1,10 +1,8 @@
-// Throughput bench for the QueryService front end, three axes:
+// Throughput bench for the QueryService front end, two axes:
 //
 //  * worker sweep — a fixed mix of benchmark queries (with duplicates, so
 //    dedup and the solution cache get real work) submitted concurrently at
 //    1/2/4/... service workers;
-//  * steady state — a warmed service with pooled vs unpooled solve
-//    scratch over the repeated mix;
 //  * snapshot churn — readers racing a publisher that alternates triple
 //    ingest and restriction, exercising MVCC snapshot pinning.
 //
@@ -88,80 +86,6 @@ struct ChurnSample {
   size_t peak_snapshots_live = 0;
   size_t generation_evictions = 0;
 };
-
-/// The steady-state axis: a warmed service answering the same mix over and
-/// over with the solution cache off, so every submission is a real solve.
-/// This is the regime the scratch pool targets — after the warm-up pass
-/// every checkout recycles and scratch_allocs stays flat (zero-allocation
-/// steady state). Run twice from the same binary, pool on and pool off,
-/// for the paired comparison the allocation-counter seam reports.
-struct SteadySample {
-  bool pooled = false;
-  size_t queries = 0;
-  double seconds = 0;
-  double qps = 0;
-  uint64_t scratch_reuses = 0;
-  uint64_t scratch_allocs = 0;
-  /// scratch_allocs incurred *after* the warm-up pass — the steady-state
-  /// allocation count the bench-smoke gate asserts is 0 when pooled.
-  uint64_t steady_allocs = 0;
-  uint64_t bytes_recycled = 0;
-  uint64_t words_cleared_sparse = 0;
-};
-
-SteadySample RunSteadyPhase(
-    const graph::GraphDatabase& db, const std::vector<sparql::Query>& mix,
-    size_t queue_depth,
-    const std::map<std::string, sim::PruneReport>& reference, bool pooled) {
-  sim::QueryServiceOptions options;
-  options.num_workers = 2;
-  options.queue_depth = queue_depth;
-  // Solution caching off: a cache hit skips the solver entirely, which
-  // would measure the cache, not the scratch pool.
-  options.solver.cache_sois = false;
-  options.solver.cache_solutions = false;
-  options.solver.reuse_scratch = pooled;
-  sim::QueryService service(&db, options);
-
-  auto run_pass = [&] {
-    // Sequential submission: no in-flight duplicate to coalesce onto, so
-    // every submission solves.
-    for (const sparql::Query& q : mix) {
-      sim::PruneReport report = service.Submit(q).get();
-      const sim::PruneReport& want =
-          reference.at(sparql::CanonicalPatternKey(*q.where));
-      if (report.kept_triples != want.kept_triples ||
-          report.var_candidates != want.var_candidates) {
-        std::fprintf(stderr,
-                     "FATAL: steady-state report differs from sequential "
-                     "solve (pooled=%d)\n",
-                     pooled ? 1 : 0);
-        std::abort();
-      }
-    }
-  };
-
-  run_pass();  // warm-up: first checkouts allocate/reshape
-  const uint64_t allocs_after_warmup = service.stats().scratch_allocs;
-
-  const size_t passes = 3;
-  util::Stopwatch watch;
-  for (size_t p = 0; p < passes; ++p) run_pass();
-  const double seconds = watch.ElapsedSeconds();
-
-  sim::QueryService::Stats stats = service.stats();
-  SteadySample s;
-  s.pooled = pooled;
-  s.queries = passes * mix.size();
-  s.seconds = seconds;
-  s.qps = seconds > 0 ? static_cast<double>(s.queries) / seconds : 0.0;
-  s.scratch_reuses = stats.scratch_reuses;
-  s.scratch_allocs = stats.scratch_allocs;
-  s.steady_allocs = stats.scratch_allocs - allocs_after_warmup;
-  s.bytes_recycled = stats.bytes_recycled;
-  s.words_cleared_sparse = stats.words_cleared_sparse;
-  return s;
-}
 
 std::vector<graph::Triple> RandomTriples(const graph::GraphDatabase& db,
                                          util::Rng& rng, size_t count) {
@@ -380,24 +304,6 @@ int Run(int argc, char** argv) {
   std::vector<Sample> samples;
   for (size_t workers : worker_counts) samples.push_back(run_sample(workers));
 
-  std::printf("  steady: warmed service, solution cache off, repeated mix\n");
-  SteadySample steady_on =
-      RunSteadyPhase(db, mix, queue_depth, reference, /*pooled=*/true);
-  SteadySample steady_off =
-      RunSteadyPhase(db, mix, queue_depth, reference, /*pooled=*/false);
-  for (const SteadySample* s : {&steady_on, &steady_off}) {
-    std::printf(
-        "  pool %-3s %zu queries in %.5fs (%.1f q/s), reuses %llu, "
-        "allocs %llu (steady %llu), %.1f MiB recycled, %llu words "
-        "sparse-cleared\n",
-        s->pooled ? "on" : "off", s->queries, s->seconds, s->qps,
-        static_cast<unsigned long long>(s->scratch_reuses),
-        static_cast<unsigned long long>(s->scratch_allocs),
-        static_cast<unsigned long long>(s->steady_allocs),
-        static_cast<double>(s->bytes_recycled) / (1024.0 * 1024.0),
-        static_cast<unsigned long long>(s->words_cleared_sparse));
-  }
-
   std::printf("  churn: queries racing ingest + restrict publications\n");
   ChurnSample churn = RunChurnPhase(db, mix, queue_depth, cache_capacity);
   std::printf("  %zu queries in %.5fs (%.1f q/s) across %zu publications, "
@@ -434,23 +340,6 @@ int Run(int argc, char** argv) {
                  s.executed, s.coalesced, s.solution_hits, s.lru_evictions);
   }
   std::fprintf(out, "\n  ],\n");
-  std::fprintf(out, "  \"steady\": {");
-  for (const SteadySample* s : {&steady_on, &steady_off}) {
-    std::fprintf(
-        out,
-        "%s\n    \"%s\": {\"queries\": %zu, \"seconds\": %.6f, "
-        "\"qps\": %.2f, \"scratch_reuses\": %llu, \"scratch_allocs\": %llu, "
-        "\"steady_allocs\": %llu, \"bytes_recycled\": %llu, "
-        "\"words_cleared_sparse\": %llu}",
-        s == &steady_on ? "" : ",", s->pooled ? "pooled" : "unpooled",
-        s->queries, s->seconds, s->qps,
-        static_cast<unsigned long long>(s->scratch_reuses),
-        static_cast<unsigned long long>(s->scratch_allocs),
-        static_cast<unsigned long long>(s->steady_allocs),
-        static_cast<unsigned long long>(s->bytes_recycled),
-        static_cast<unsigned long long>(s->words_cleared_sparse));
-  }
-  std::fprintf(out, "\n  },\n");
   std::fprintf(out,
                "  \"churn\": {\"queries\": %zu, \"seconds\": %.6f, "
                "\"qps\": %.2f, \"publishes\": %zu, "

@@ -13,9 +13,7 @@ namespace sparqlsim::sim {
 /// so pool threads and cache entries live only for that call (a multi-branch
 /// query still benefits from intra-call caching when the union normal form
 /// produces duplicate branches). Hold a SimEngine directly to amortize the
-/// pool, reuse SOIs/solutions across repeated queries, and recycle solve
-/// scratch (a transient engine's ScratchPool dies with the call, so only
-/// multi-branch calls see any reuse).
+/// pool and reuse SOIs/solutions across repeated queries.
 class SparqlSimProcessor {
  public:
   /// `db` is borrowed, not owned: it must outlive the processor.

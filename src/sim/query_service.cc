@@ -27,12 +27,9 @@ QueryService::QueryService(const graph::GraphDatabase* db,
                            QueryServiceOptions options)
     : options_(std::move(options)),
       cache_(MakeServiceCache(options_)),
-      scratch_pool_(options_.solver.EffectiveReuseScratch()
-                        ? std::make_shared<ScratchPool>()
-                        : nullptr),
       gate_(options_.queue_depth),
       current_(std::make_shared<const SnapshotContext>(
-          db->Snapshot(), options_.solver, cache_, scratch_pool_)),
+          db->Snapshot(), options_.solver, cache_)),
       pool_(std::make_unique<util::ThreadPool>(options_.num_workers)) {}
 
 QueryService::~QueryService() {
@@ -208,7 +205,7 @@ std::vector<PruneReport> QueryService::SubmitBatch(
 uint64_t QueryService::PublishLocked(graph::GraphDatabase&& next) {
   auto next_context = std::make_shared<const SnapshotContext>(
       std::make_shared<const graph::GraphDatabase>(std::move(next)),
-      options_.solver, cache_, scratch_pool_);
+      options_.solver, cache_);
   std::lock_guard<std::mutex> lock(mutex_);
   const uint64_t previous_generation = current_->db->generation();
   const uint64_t generation = next_context->db->generation();
@@ -382,13 +379,6 @@ QueryService::Stats QueryService::stats() const {
     out.cache = cache_->stats();
     out.cached_sois = cache_->NumSois();
     out.cached_solutions = cache_->NumSolutions();
-  }
-  if (scratch_pool_ != nullptr) {
-    const ScratchPool::Stats scratch = scratch_pool_->stats();
-    out.scratch_reuses = scratch.reuses;
-    out.scratch_allocs = scratch.allocs;
-    out.bytes_recycled = scratch.bytes_recycled;
-    out.words_cleared_sparse = scratch.words_cleared_sparse;
   }
   return out;
 }

@@ -142,14 +142,9 @@ class QueryService {
     size_t subscription_reports = 0;
     /// Per-priority-class admission counters (waits, blocks).
     util::AdmissionGate::Stats gate;
-    /// Scratch-pool counters, aggregated across every snapshot lane (the
-    /// pool outlives individual snapshot engines). All zero when scratch
-    /// reuse is off. scratch_allocs should go flat once serving reaches
-    /// steady state — the zero-allocation property the bench asserts.
+    /// Always 0: kept only for perfbench's `sim.scratch_reuse_ratio`.
     uint64_t scratch_reuses = 0;
     uint64_t scratch_allocs = 0;
-    uint64_t bytes_recycled = 0;
-    uint64_t words_cleared_sparse = 0;
   };
 
   /// A standing query registered with Subscribe(). The service drives it
@@ -265,11 +260,9 @@ class QueryService {
 
     SnapshotContext(std::shared_ptr<const graph::GraphDatabase> snapshot,
                     const SolverOptions& solver,
-                    std::shared_ptr<SoiCache> cache,
-                    std::shared_ptr<ScratchPool> scratch_pool)
+                    std::shared_ptr<SoiCache> cache)
         : db(std::move(snapshot)),
-          engine(db.get(), solver, std::move(cache),
-                 std::move(scratch_pool)) {}
+          engine(db.get(), solver, std::move(cache)) {}
   };
 
   struct InFlight {
@@ -310,11 +303,6 @@ class QueryService {
 
   QueryServiceOptions options_;
   std::shared_ptr<SoiCache> cache_;  // null when caching is off
-  /// One scratch pool shared by every snapshot lane (null when scratch
-  /// reuse is off): publishing a new version must not discard the warmed
-  /// buffers, and the universe rarely changes across versions, so the
-  /// successor engine recycles the predecessor's scratches.
-  std::shared_ptr<ScratchPool> scratch_pool_;
   util::AdmissionGate gate_;
 
   /// Serializes writers: compute-next-version + publish is one critical

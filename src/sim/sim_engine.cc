@@ -11,12 +11,8 @@
 namespace sparqlsim::sim {
 
 SimEngine::SimEngine(const graph::GraphDatabase* db, SolverOptions options,
-                     std::shared_ptr<SoiCache> cache,
-                     std::shared_ptr<ScratchPool> scratch_pool)
-    : db_(db),
-      options_(options),
-      cache_(std::move(cache)),
-      scratch_pool_(std::move(scratch_pool)) {
+                     std::shared_ptr<SoiCache> cache)
+    : db_(db), options_(options), cache_(std::move(cache)) {
   if (options_.ResolvedThreads() > 1) {
     pool_ = std::make_unique<util::ThreadPool>(options_.ResolvedThreads());
   }
@@ -26,25 +22,12 @@ SimEngine::SimEngine(const graph::GraphDatabase* db, SolverOptions options,
     cache_ = std::make_shared<SoiCache>(
         SoiCache::Options{options_.cache_capacity, /*generation_gc=*/true});
   }
-  if (scratch_pool_ == nullptr && options_.EffectiveReuseScratch()) {
-    scratch_pool_ = std::make_shared<ScratchPool>();
-  }
 }
 
 Solution SimEngine::Solve(const Soi& soi,
                           const std::vector<util::BitVector>* initial,
                           const SolveControl* control) const {
-  if (scratch_pool_ == nullptr) {
-    return SolveSoi(soi, *db_, options_, initial, pool_.get(), control);
-  }
-  // Checkout spans the solve only; an exception drops the scratch rather
-  // than returning it, which is safe (the pool just mints a fresh one).
-  std::unique_ptr<SolveScratch> scratch = scratch_pool_->Acquire();
-  Solution solved = SolveSoiWarm(soi, *db_, options_, initial, pool_.get(),
-                                 control, /*warm=*/nullptr, scratch.get());
-  scratch_pool_->Record(solved.stats);
-  scratch_pool_->Release(std::move(scratch));
-  return solved;
+  return SolveSoi(soi, *db_, options_, initial, pool_.get(), control);
 }
 
 SimEngine::BranchOutcome SimEngine::ProcessBranch(

@@ -93,23 +93,14 @@ struct PruneReport {
 /// (its pool workers all Prune through one shared engine). Concurrent
 /// calls share only the immutable database, the internally synchronized
 /// SoiCache, the ThreadPool (whose Submit is locked and whose ParallelFor
-/// keeps per-call state, so overlapping callers are fine), and the
-/// internally synchronized ScratchPool. Keep it that way: any new
-/// per-solve state must live on the stack of the call or in a checked-out
-/// SolveScratch, not in engine members.
-///
-/// Scratch recycling: unless a shared pool is injected, the engine creates
-/// a private ScratchPool when `options.EffectiveReuseScratch()` is on.
-/// Every Solve checks a SolveScratch out for its duration and returns it,
-/// so steady-state serving of same-universe queries allocates nothing —
-/// see the "Scratch lifecycle" section of docs/ARCHITECTURE.md. Pooled
-/// and unpooled solves are bit-identical (one solver code path).
+/// keeps per-call state, so overlapping callers are fine). Keep it that
+/// way: per-solve state lives in SolveSoiWarm locals, not in engine
+/// members.
 class SimEngine {
  public:
   explicit SimEngine(const graph::GraphDatabase* db,
                      SolverOptions options = {},
-                     std::shared_ptr<SoiCache> cache = nullptr,
-                     std::shared_ptr<ScratchPool> scratch_pool = nullptr);
+                     std::shared_ptr<SoiCache> cache = nullptr);
 
   const graph::GraphDatabase& db() const { return *db_; }
   const SolverOptions& options() const { return options_; }
@@ -118,9 +109,6 @@ class SimEngine {
   /// Null when both cache toggles are off and no cache was injected.
   SoiCache* cache() const { return cache_.get(); }
   std::shared_ptr<SoiCache> shared_cache() const { return cache_; }
-  /// Null when scratch reuse is off (option or SPARQLSIM_NO_SCRATCH) and
-  /// none was injected. Its stats() are the allocation-counter seam.
-  ScratchPool* scratch_pool() const { return scratch_pool_.get(); }
 
   /// Solves a prepared SOI through the engine's pool. No cache
   /// interaction — callers that constructed a Soi by hand (or restrict via
@@ -163,7 +151,6 @@ class SimEngine {
   SolverOptions options_;
   std::unique_ptr<util::ThreadPool> pool_;
   std::shared_ptr<SoiCache> cache_;
-  std::shared_ptr<ScratchPool> scratch_pool_;
 };
 
 }  // namespace sparqlsim::sim

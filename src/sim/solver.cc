@@ -1,8 +1,7 @@
 #include "sim/solver.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
+#include <cstdint>
 #include <memory>
 #include <numeric>
 
@@ -120,96 +119,6 @@ size_t IncrementalCarry::LiveEntries() const {
   return live;
 }
 
-/// The recyclable workspace behind sim::SolveScratch (class comment in
-/// solver.h). Everything here is a buffer SolveSoiWarm historically
-/// allocated per call; the prepare step at the top of the solve reshapes
-/// them in place — growing, never shrinking, so spare width keeps serving
-/// the rest of a mixed query workload — and `prepared`/`universe` key
-/// whether the next solve recycles wholesale.
-struct SolveScratch::Impl {
-  bool prepared = false;
-  size_t universe = 0;
-  /// Payload footprint of the recyclable bit-vector buffers as of the last
-  /// solve; credited to SolveStats::bytes_recycled on reuse.
-  size_t payload_bytes = 0;
-
-  std::vector<util::HierarchicalBitVector> chi;
-  std::vector<size_t> counts;
-  std::vector<std::vector<uint32_t>> dependents;
-  std::vector<uint32_t> order;
-  Work work;
-  /// Incremental state for carry-less solves only. A solve threaded
-  /// through an IncrementalCarry keeps its IneqStates in a solve-local
-  /// vector instead (the carry-ownership rule): the carry deposit moves
-  /// that vector out, so recycling this scratch can never dangle buffers
-  /// under a carry that outlives it.
-  std::vector<IneqState> ineq_state;
-
-  /// Per-round slot vectors, lazily grown to the widest round seen.
-  /// Recycled entries hold stale content by design: every slot a round
-  /// reads is fully written first (kinds/cleared/rebuilt at the top of
-  /// each evaluation; masks/gone overwritten whole by copy-assign or the
-  /// clearing Multiply).
-  std::vector<util::BitVector> masks;
-  std::vector<EvalKind> kinds;
-  std::vector<const util::BitVector*> mask_ptrs;
-  std::vector<size_t> cleared;
-  std::vector<uint8_t> rebuilt;
-  std::vector<util::BitVector> gone;
-};
-
-SolveScratch::SolveScratch() : impl_(std::make_unique<Impl>()) {}
-SolveScratch::~SolveScratch() = default;
-SolveScratch::SolveScratch(SolveScratch&&) noexcept = default;
-SolveScratch& SolveScratch::operator=(SolveScratch&&) noexcept = default;
-
-std::unique_ptr<SolveScratch> ScratchPool::Acquire() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!idle_.empty()) {
-      std::unique_ptr<SolveScratch> scratch = std::move(idle_.back());
-      idle_.pop_back();
-      return scratch;
-    }
-  }
-  return std::make_unique<SolveScratch>();
-}
-
-void ScratchPool::Release(std::unique_ptr<SolveScratch> scratch) {
-  if (scratch == nullptr) return;
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (idle_.size() < kMaxIdle) idle_.push_back(std::move(scratch));
-  // else: drop — the pool bounds idle workspaces, not in-flight ones.
-}
-
-void ScratchPool::Record(const SolveStats& stats) {
-  reuses_.fetch_add(stats.scratch_reuses, std::memory_order_relaxed);
-  allocs_.fetch_add(stats.scratch_allocs, std::memory_order_relaxed);
-  bytes_recycled_.fetch_add(stats.bytes_recycled, std::memory_order_relaxed);
-  words_cleared_.fetch_add(stats.words_cleared_sparse,
-                           std::memory_order_relaxed);
-}
-
-ScratchPool::Stats ScratchPool::stats() const {
-  Stats out;
-  out.reuses = reuses_.load(std::memory_order_relaxed);
-  out.allocs = allocs_.load(std::memory_order_relaxed);
-  out.bytes_recycled = bytes_recycled_.load(std::memory_order_relaxed);
-  out.words_cleared_sparse = words_cleared_.load(std::memory_order_relaxed);
-  return out;
-}
-
-bool SolverOptions::EffectiveReuseScratch() const {
-  // Parsed once per process: the env override
-  // lets CI re-run whole suites with recycling force-disabled (the
-  // differential oracle configuration) without touching any options.
-  static const bool env_disabled = [] {
-    const char* env = std::getenv("SPARQLSIM_NO_SCRATCH");
-    return env != nullptr && *env != '\0' && std::strcmp(env, "0") != 0;
-  }();
-  return reuse_scratch && !env_disabled;
-}
-
 void SolveStats::Accumulate(const SolveStats& other) {
   rounds += other.rounds;
   evaluations += other.evaluations;
@@ -225,10 +134,6 @@ void SolveStats::Accumulate(const SolveStats& other) {
   parallel_rounds += other.parallel_rounds;
   max_round_width = std::max(max_round_width, other.max_round_width);
   threads_used = std::max(threads_used, other.threads_used);
-  scratch_reuses += other.scratch_reuses;
-  scratch_allocs += other.scratch_allocs;
-  bytes_recycled += other.bytes_recycled;
-  words_cleared_sparse += other.words_cleared_sparse;
 }
 
 bool Solution::AnyCandidate() const {
@@ -266,7 +171,7 @@ Solution SolveSoiWarm(const Soi& soi, const graph::GraphDatabase& db,
                       const SolverOptions& options,
                       const std::vector<util::BitVector>* initial,
                       util::ThreadPool* pool, const SolveControl* control,
-                      const WarmStart* warm, SolveScratch* scratch) {
+                      const WarmStart* warm) {
   util::Stopwatch timer;
   // Every solver entry point funnels through here: one residency pin keeps
   // lazily-materialized matrix slabs resident (out-of-core tier) for the
@@ -279,41 +184,17 @@ Solution SolveSoiWarm(const Soi& soi, const graph::GraphDatabase& db,
 
   Solution solution;
   SolveStats& stats = solution.stats;
-  // Empty slots only: every candidate vector is copied out of chi at the
+  // Empty slots only: every candidate vector is moved out of chi at the
   // end of the solve, so allocating dense vectors here would be wasted.
   solution.candidates.resize(num_vars);
 
-  // --- Workspace: the caller's recyclable scratch, or a transient one. ---
-  // Either way the solve runs on the same Impl through one code path, so
-  // pooled and unpooled solves are bit-identical by construction; they
-  // differ only in where the buffers came from. A scratch prepared for the
-  // same node universe recycles wholesale; anything else (first use,
-  // universe change, a query shape wider than the scratch has seen —
-  // tracked via `grew`) reshapes in place and counts a scratch_alloc.
-  std::unique_ptr<SolveScratch> transient_scratch;
-  if (scratch == nullptr) {
-    transient_scratch = std::make_unique<SolveScratch>();
-    scratch = transient_scratch.get();
-  }
-  SolveScratch::Impl& S = *scratch->impl_;
-  const bool recycled = S.prepared && S.universe == n;
-  bool grew = false;
-
   // Candidate sets are hierarchical bit-vectors for the whole fixpoint:
-  // zero-block skipping over the SIMD word kernels. Recycled sets are
-  // reset to the all-zero state of a fresh vector, paying only for the
-  // blocks the previous solve left live; flat vectors are copied into the
-  // Solution at the end.
-  std::vector<util::HierarchicalBitVector>& chi = S.chi;
-  const size_t chi_ready = std::min(chi.size(), num_vars);
-  for (size_t v = 0; v < chi_ready; ++v) chi[v].ResetForReuse(n);
-  if (chi.size() < num_vars) {
-    grew = true;
-    chi.reserve(num_vars);
-    while (chi.size() < num_vars) chi.emplace_back(n);
-  }
-  S.counts.assign(num_vars, 0);
-  std::vector<size_t>& counts = S.counts;
+  // zero-block skipping over the SIMD word kernels. Their flat vectors are
+  // moved into the Solution at the end.
+  std::vector<util::HierarchicalBitVector> chi;
+  chi.reserve(num_vars);
+  for (size_t v = 0; v < num_vars; ++v) chi.emplace_back(n);
+  std::vector<size_t> counts(num_vars, 0);
 
   // --- Initialization: Eq. (12) or Eq. (13), constants per Sect. 4.5. ---
   // An empty set cannot shrink, so it skips the AND (and its block-skip
@@ -352,10 +233,7 @@ Solution SolveSoiWarm(const Soi& soi, const graph::GraphDatabase& db,
   for (size_t v = 0; v < num_vars; ++v) counts[v] = chi[v].Count();
 
   // --- Dependency index: ineqs whose right-hand side reads var v. ---
-  // Recycled adjacency lists keep their per-slot capacity across solves.
-  if (S.dependents.size() < num_vars) S.dependents.resize(num_vars);
-  for (size_t v = 0; v < num_vars; ++v) S.dependents[v].clear();
-  std::vector<std::vector<uint32_t>>& dependents = S.dependents;
+  std::vector<std::vector<uint32_t>> dependents(num_vars);
   for (size_t i = 0; i < num_matrix; ++i) {
     dependents[soi.matrix_ineqs[i].rhs].push_back(static_cast<uint32_t>(i));
   }
@@ -365,8 +243,9 @@ Solution SolveSoiWarm(const Soi& soi, const graph::GraphDatabase& db,
   }
 
   // --- Initial worklist order (sparsity heuristic, Sect. 3.3). ---
-  S.order.resize(num_ineqs);
-  std::vector<uint32_t>& order = S.order;
+  Work work;
+  std::vector<uint32_t>& order = work.current;
+  order.resize(num_ineqs);
   std::iota(order.begin(), order.end(), 0);
   if (options.order_by_sparsity) {
     auto key = [&](uint32_t idx) -> size_t {
@@ -383,9 +262,6 @@ Solution SolveSoiWarm(const Soi& soi, const graph::GraphDatabase& db,
                      [&](uint32_t a, uint32_t b) { return key(a) < key(b); });
   }
 
-  Work& work = S.work;
-  work.current = order;
-  work.next.clear();
   // Warm start (sim::StandingQuery): seed the first round with the armed
   // subset only — in sparsity order, like a full first round would be.
   // Unarmed inequalities hold at `initial` by the WarmStart contract and
@@ -395,43 +271,15 @@ Solution SolveSoiWarm(const Soi& soi, const graph::GraphDatabase& db,
                   [&](uint32_t idx) { return !(*warm->armed)[idx]; });
   }
   work.queued.Resize(num_ineqs);
-  work.queued.ClearAll();
 
   // Per-matrix-inequality incremental state (accumulator + selection
   // snapshot); see IneqState. Allocated once, lazily populated — or
   // adopted from a WarmStart carry, minus the entries the caller declared
   // stale, so retractions resume from products synchronized during the
   // previous converged solve of this Soi.
-  //
-  // Carry-ownership rule: a solve that may deposit its states into an
-  // IncrementalCarry works on a solve-local vector (`owned_states`), never
-  // the scratch's slots — the deposit moves the vector out, and a carry
-  // holding pointers into pooled scratch would dangle the moment the
-  // scratch is recycled by another query. Only carry-free incremental
-  // solves run on S.ineq_state; their recycled entries get every validity
-  // flag reset so stale accumulators/snapshots are rebuilt before first
-  // read (the retained buffers are what makes the reuse pay).
   IncrementalCarry* carry =
       warm != nullptr && options.incremental_eval ? warm->carry : nullptr;
-  std::vector<IneqState> owned_states;
-  if (carry != nullptr) {
-    owned_states.resize(num_matrix);
-  } else if (options.incremental_eval) {
-    if (S.ineq_state.size() < num_matrix) {
-      grew = true;
-      S.ineq_state.resize(num_matrix);
-    }
-    for (size_t i = 0; i < num_matrix; ++i) {
-      IneqState& st = S.ineq_state[i];
-      st.last_count = 0;
-      st.product_valid = false;
-      st.acc_valid = false;
-      st.deltas_done = 0;
-    }
-  }
-  std::vector<IneqState>& inc_state =
-      (carry != nullptr || !options.incremental_eval) ? owned_states
-                                                      : S.ineq_state;
+  std::vector<IneqState> inc_state(options.incremental_eval ? num_matrix : 0);
   if (warm != nullptr && warm->carry != nullptr && carry == nullptr) {
     // incremental_eval off: whatever the carry holds is from a different
     // configuration and must not survive into a later incremental solve.
@@ -460,12 +308,12 @@ Solution SolveSoiWarm(const Soi& soi, const graph::GraphDatabase& db,
   // applies: the slot's own `masks[k]`, or the owning inequality's
   // snapshot product or accumulator product (stable storage in
   // `inc_state`, untouched during the merge).
-  std::vector<util::BitVector>& masks = S.masks;
-  std::vector<EvalKind>& kinds = S.kinds;
-  std::vector<const util::BitVector*>& mask_ptrs = S.mask_ptrs;
-  std::vector<size_t>& cleared = S.cleared;   // kDelta-retraction clears
-  std::vector<uint8_t>& rebuilt = S.rebuilt;  // slot rebuilt an accumulator
-  std::vector<util::BitVector>& gone = S.gone;  // rows gone from chi(rhs)
+  std::vector<util::BitVector> masks;
+  std::vector<EvalKind> kinds;
+  std::vector<const util::BitVector*> mask_ptrs;
+  std::vector<size_t> cleared;   // kDelta-retraction clears
+  std::vector<uint8_t> rebuilt;  // slot rebuilt an accumulator
+  std::vector<util::BitVector> gone;  // rows gone from chi(rhs)
 
   auto on_change = [&](uint32_t var) {
     counts[var] = chi[var].Count();
@@ -644,7 +492,6 @@ Solution SolveSoiWarm(const Soi& soi, const graph::GraphDatabase& db,
     const size_t width = work.current.size();
     stats.max_round_width = std::max(stats.max_round_width, width);
     if (masks.size() < width) {
-      grew = true;
       masks.resize(width);
       kinds.resize(width);
       mask_ptrs.resize(width);
@@ -721,36 +568,10 @@ Solution SolveSoiWarm(const Soi& soi, const graph::GraphDatabase& db,
   }
 
   // Export the flat candidate vectors; harvest the kernel counters first.
-  // Copies (not TakeBits) so chi keeps its storage and summary for the
-  // next solve on this scratch.
   for (size_t v = 0; v < num_vars; ++v) {
     stats.blocks_skipped += chi[v].TakeBlocksSkipped();
-    stats.words_cleared_sparse += chi[v].TakeWordsCleared();
-    solution.candidates[v] = chi[v].bits();
+    solution.candidates[v] = std::move(chi[v]).TakeBits();
   }
-
-  // Scratch accounting, stamped at solve end so slot growth during the
-  // rounds (a query shape wider than this scratch had seen) demotes the
-  // checkout from a reuse to an alloc. bytes_recycled credits the payload
-  // the scratch held at checkout, so stamp before recomputing it.
-  if (recycled && !grew) {
-    stats.scratch_reuses = 1;
-    stats.bytes_recycled = S.payload_bytes;
-  } else {
-    stats.scratch_allocs = 1;
-  }
-  size_t payload = work.queued.WordCount();
-  for (const util::HierarchicalBitVector& c : chi) {
-    payload += c.bits().WordCount();
-  }
-  for (const util::BitVector& m : masks) payload += m.WordCount();
-  for (const util::BitVector& g : gone) payload += g.WordCount();
-  for (const IneqState& st : S.ineq_state) {
-    payload += st.product.WordCount() + st.last_rhs.WordCount();
-  }
-  S.payload_bytes = payload * sizeof(uint64_t);
-  S.universe = n;
-  S.prepared = true;
 
   stats.solve_seconds = timer.ElapsedSeconds();
   return solution;

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -81,21 +80,6 @@ struct SolverOptions {
   /// cache carries its own SoiCache::Options.
   size_t cache_capacity = 0;
 
-  /// Recycle solve workspaces (chi sets, eval masks, per-inequality
-  /// incremental state, worklist vectors) across queries instead of
-  /// allocating and zero-filling them per solve. Honored by the owners of
-  /// scratch state — SimEngine's ScratchPool, QueryService's shared pool,
-  /// StandingQuery's per-query scratch; the free SolveSoi functions have
-  /// nothing to recycle from. Results are bit-identical on or off (the
-  /// differential suites sweep this axis); off is the oracle configuration
-  /// and the CLI/batch `--no-scratch-pool` flag. SPARQLSIM_NO_SCRATCH=1
-  /// force-disables it for whole-suite differential runs.
-  bool reuse_scratch = true;
-
-  /// `reuse_scratch` with the SPARQLSIM_NO_SCRATCH override applied (the
-  /// environment is parsed once per process).
-  bool EffectiveReuseScratch() const;
-
   /// `num_threads` with the 0-means-hardware convention applied.
   size_t ResolvedThreads() const {
     return util::ThreadPool::ResolveThreadCount(num_threads);
@@ -164,23 +148,6 @@ struct SolveStats {
   size_t max_round_width = 0;
   size_t threads_used = 1;
 
-  /// Scratch-recycling counters (SolverOptions::reuse_scratch).
-  /// `scratch_reuses` is 1 when this solve ran entirely on a recycled
-  /// workspace; `scratch_allocs` is 1 when the workspace had to be
-  /// allocated or reshaped (first use, universe-width change, or a query
-  /// shape wider than anything the scratch has seen) — including every
-  /// solve with recycling off, so allocs == solves is the honest no-pool
-  /// baseline. `bytes_recycled` is the recycled workspace's payload
-  /// footprint (the malloc+memset traffic avoided); `words_cleared_sparse`
-  /// counts the payload words the summary-guided sparse clears actually
-  /// zeroed while wiping recycled buffers. Like threads_used these are
-  /// scheduling/allocation counters: exempt from trajectory
-  /// comparisons, which assert the semantic counters above instead.
-  size_t scratch_reuses = 0;
-  size_t scratch_allocs = 0;
-  size_t bytes_recycled = 0;
-  size_t words_cleared_sparse = 0;
-
   /// Adds `other`'s counters and time into this (multi-branch aggregation);
   /// width/thread counters combine by max.
   ///
@@ -194,12 +161,11 @@ struct SolveStats {
 struct Solution;
 struct WarmStart;
 class IncrementalCarry;
-class SolveScratch;
 Solution SolveSoiWarm(const Soi& soi, const graph::GraphDatabase& db,
                       const SolverOptions& options,
                       const std::vector<util::BitVector>* initial,
                       util::ThreadPool* pool, const SolveControl* control,
-                      const WarmStart* warm, SolveScratch* scratch);
+                      const WarmStart* warm);
 
 /// Opaque per-inequality incremental-solver state (snapshot products,
 /// counted accumulators, and their synchronized selections) carried across
@@ -230,85 +196,9 @@ class IncrementalCarry {
                                const SolverOptions&,
                                const std::vector<util::BitVector>*,
                                util::ThreadPool*, const SolveControl*,
-                               const WarmStart*, SolveScratch*);
+                               const WarmStart*);
   struct Impl;
   std::unique_ptr<Impl> impl_;
-};
-
-/// One recyclable solve workspace: the chi candidate sets, per-inequality
-/// eval masks, the worklist, the incremental IneqState array (snapshot
-/// products, last-rhs vectors, counted accumulators), and the delta
-/// buffers — everything SolveSoiWarm would otherwise allocate per call. A
-/// scratch is keyed by the node-universe width it was last prepared for:
-/// a solve on the same universe recycles every buffer (wiping them with
-/// the summary-guided sparse clears), any other solve reshapes in place
-/// and counts a scratch_alloc. A recycled workspace is observationally
-/// indistinguishable from a fresh one — solutions, PruneReports, and
-/// fixpoint trajectories are bit-identical with and without recycling
-/// (the pool differential suites assert exactly that).
-///
-/// Carry-ownership rule: when a solve is handed an IncrementalCarry (the
-/// StandingQuery path), its IneqState array lives in a solve-local vector
-/// that is moved into the carry at deposit time — never in the scratch —
-/// so recycling a scratch can never dangle buffers out from under a carry
-/// that outlives it.
-///
-/// Not thread-safe; a scratch belongs to exactly one solve at a time.
-/// Acquire one from a ScratchPool (concurrent servers) or own one directly
-/// (StandingQuery).
-class SolveScratch {
- public:
-  SolveScratch();
-  ~SolveScratch();
-  SolveScratch(SolveScratch&&) noexcept;
-  SolveScratch& operator=(SolveScratch&&) noexcept;
-
- private:
-  friend Solution SolveSoiWarm(const Soi&, const graph::GraphDatabase&,
-                               const SolverOptions&,
-                               const std::vector<util::BitVector>*,
-                               util::ThreadPool*, const SolveControl*,
-                               const WarmStart*, SolveScratch*);
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-};
-
-/// A mutex-guarded freelist of SolveScratch workspaces shared by the
-/// concurrently callable solve paths (SimEngine::Solve from QueryService
-/// workers and parallel Prune branches). Acquire pops a recycled scratch
-/// or makes a fresh one; Release returns it for the next solve (the pool
-/// keeps at most kMaxIdle idle workspaces — the high-water mark of
-/// concurrent solves bounds live scratches, not queue depth). Dropping an
-/// acquired scratch instead of releasing it is always safe, just a lost
-/// recycle.
-///
-/// The pool also aggregates the per-solve scratch counters (Record) into
-/// process-lifetime totals for QueryService::Stats and the benches.
-class ScratchPool {
- public:
-  struct Stats {
-    uint64_t reuses = 0;
-    uint64_t allocs = 0;
-    uint64_t bytes_recycled = 0;
-    uint64_t words_cleared_sparse = 0;
-  };
-
-  std::unique_ptr<SolveScratch> Acquire();
-  void Release(std::unique_ptr<SolveScratch> scratch);
-
-  /// Folds one solve's scratch_* counters into the pool totals.
-  void Record(const SolveStats& stats);
-  Stats stats() const;
-
- private:
-  static constexpr size_t kMaxIdle = 8;
-
-  std::mutex mutex_;
-  std::vector<std::unique_ptr<SolveScratch>> idle_;
-  std::atomic<uint64_t> reuses_{0};
-  std::atomic<uint64_t> allocs_{0};
-  std::atomic<uint64_t> bytes_recycled_{0};
-  std::atomic<uint64_t> words_cleared_{0};
 };
 
 /// Warm-start description for re-converging a previously solved SOI after
@@ -406,15 +296,13 @@ Solution SolveSoi(const Soi& soi, const graph::GraphDatabase& db,
 /// converged fixpoint the solve performs zero rounds — a no-op delta is
 /// free.
 ///
-/// `scratch` (borrowed, may be null) is a recyclable workspace: non-null
-/// runs the solve on the scratch's buffers and leaves them prepared for
-/// the next same-width solve; null allocates a transient workspace through
-/// the identical code path, so pooled and unpooled solves differ only in
-/// where the buffers came from.
+/// Every call allocates its own workspace (candidate sets, worklist, eval
+/// masks, per-inequality incremental state); a converged warm solve moves
+/// its incremental state into `warm->carry`.
 Solution SolveSoiWarm(const Soi& soi, const graph::GraphDatabase& db,
                       const SolverOptions& options,
                       const std::vector<util::BitVector>* initial,
                       util::ThreadPool* pool, const SolveControl* control,
-                      const WarmStart* warm, SolveScratch* scratch = nullptr);
+                      const WarmStart* warm);
 
 }  // namespace sparqlsim::sim

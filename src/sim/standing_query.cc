@@ -38,9 +38,6 @@ StandingQuery::StandingQuery(
     pool_ =
         std::make_unique<util::ThreadPool>(options_.solver.ResolvedThreads());
   }
-  if (options_.solver.EffectiveReuseScratch()) {
-    scratch_ = std::make_unique<SolveScratch>();
-  }
   util::Stopwatch timer;
   SolveStats stats;
   std::vector<std::unique_ptr<sparql::Pattern>> branches =
@@ -56,7 +53,7 @@ StandingQuery::StandingQuery(
     warm.carry = &b.carry;
     b.solution = SolveSoiWarm(*b.soi, *snapshot_, options_.solver,
                               /*initial=*/nullptr, pool_.get(),
-                              /*control=*/nullptr, &warm, scratch_.get());
+                              /*control=*/nullptr, &warm);
     stats.Accumulate(b.solution.stats);
     ExtractTriples(b, *snapshot_);
     branches_.push_back(std::move(b));
@@ -212,8 +209,7 @@ void StandingQuery::MaintainBranch(BranchState& b,
     WarmStart warm;
     warm.carry = &b.carry;
     solved = SolveSoiWarm(soi, next, options_.solver, /*initial=*/nullptr,
-                          pool_.get(), /*control=*/nullptr, &warm,
-                          scratch_.get());
+                          pool_.get(), /*control=*/nullptr, &warm);
     ++stats_.recomputed;
   } else {
     // Arm: inequalities reading a dirty matrix; inequalities whose lhs is
@@ -265,7 +261,7 @@ void StandingQuery::MaintainBranch(BranchState& b,
     warm.carry = &b.carry;
     warm.carry_invalid = &carry_invalid;
     solved = SolveSoiWarm(soi, next, options_.solver, &start, pool_.get(),
-                          /*control=*/nullptr, &warm, scratch_.get());
+                          /*control=*/nullptr, &warm);
     ++stats_.maintained;
     stats_.armed_ineqs += armed_count;
     stats_.total_ineqs += num_ineqs;

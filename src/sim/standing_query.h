@@ -28,7 +28,7 @@ struct TripleDelta {
 };
 
 struct StandingQueryOptions {
-  /// Per-solve policy (threads, incremental tiers, scratch reuse). The
+  /// Per-solve policy (threads, incremental tiers). The
   /// cache toggles are ignored — a standing query *is* its own cache: it
   /// holds the converged solution and incremental state per branch.
   SolverOptions solver;
@@ -179,12 +179,6 @@ class StandingQuery {
   std::shared_ptr<const graph::GraphDatabase> snapshot_;
   std::unique_ptr<util::ThreadPool> pool_;
   std::vector<BranchState> branches_;
-  /// Private recyclable solve workspace (null when scratch reuse is off).
-  /// Owned, never pool-shared: each branch's IncrementalCarry holds
-  /// buffers moved out of solves, and the solver's carry-ownership rule
-  /// (see SolveScratch) pairs carries with solve-local state — a scratch
-  /// recycled elsewhere could never be allowed to back a live carry.
-  std::unique_ptr<SolveScratch> scratch_;
   PruneReport report_;
   StandingStats stats_;
 };

@@ -1,6 +1,7 @@
 #include "sparql/parser.h"
 
 #include <cctype>
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -214,7 +215,8 @@ class ParserImpl {
     }
     if (PeekKeyword("WHERE")) Advance();
 
-    auto where = ParseGroup();
+    size_t branches = 0;
+    auto where = ParseGroup(&branches);
     if (!where.ok()) return where.status();
     query.where = std::move(where).value();
 
@@ -226,7 +228,8 @@ class ParserImpl {
 
   util::Result<std::unique_ptr<Pattern>> ParseLonePattern() {
     if (auto s = ParsePrologue(); !s.ok()) return s;
-    auto g = ParseGroup();
+    size_t branches = 0;
+    auto g = ParseGroup(&branches);
     if (!g.ok()) return g.status();
     if (Peek().type != Token::Type::kEof) {
       return Fail("trailing input after pattern");
@@ -256,24 +259,27 @@ class ParserImpl {
   }
 
   /// Every group — nested, OPTIONAL or UNION arm — recurses through here,
-  /// so this is the one place the nesting depth is bounded.
-  util::Result<std::unique_ptr<Pattern>> ParseGroup() {
+  /// so this is the one place the nesting depth is bounded. `*branches`
+  /// receives the group's union-normal-form branch count (saturating).
+  util::Result<std::unique_ptr<Pattern>> ParseGroup(size_t* branches) {
     if (depth_ == Parser::kMaxGroupDepth) {
       return Fail("groups nested deeper than " +
                   std::to_string(Parser::kMaxGroupDepth));
     }
     ++depth_;
-    auto group = ParseGroupBody();
+    auto group = ParseGroupBody(branches);
     --depth_;
     return group;
   }
 
-  util::Result<std::unique_ptr<Pattern>> ParseGroupBody() {
+  util::Result<std::unique_ptr<Pattern>> ParseGroupBody(size_t* branches) {
     if (!PeekPunct("{")) return Fail("expected '{'");
     Advance();
 
     std::unique_ptr<Pattern> acc;
     std::vector<TriplePattern> pending;
+    // A BGP is one branch, and AND/OPTIONAL multiply (UnionNormalForm).
+    *branches = 1;
 
     auto flush = [&]() {
       if (pending.empty()) return;
@@ -303,8 +309,10 @@ class ParserImpl {
       if (PeekKeyword("OPTIONAL")) {
         Advance();
         flush();
-        auto rhs = ParseGroup();
+        size_t rhs_branches = 0;
+        auto rhs = ParseGroup(&rhs_branches);
         if (!rhs.ok()) return rhs.status();
+        *branches = SaturatingMul(*branches, rhs_branches);
         if (!acc) {
           acc = Pattern::Bgp({});
           ++nodes_;
@@ -315,8 +323,10 @@ class ParserImpl {
       }
       if (PeekPunct("{")) {
         flush();
-        auto sub = ParseGroupOrUnion();
+        size_t sub_branches = 0;
+        auto sub = ParseGroupOrUnion(&sub_branches);
         if (!sub.ok()) return sub.status();
+        *branches = SaturatingMul(*branches, sub_branches);
         if (acc) ++nodes_;  // the AND node
         acc = acc ? Pattern::Join(std::move(acc), std::move(sub).value())
                   : std::move(sub).value();
@@ -335,21 +345,38 @@ class ParserImpl {
       ++nodes_;
     }
     if (nodes_ > Parser::kMaxPatternNodes) return TooManyNodes();
+    if (*branches > Parser::kMaxUnionBranches) {
+      return Fail("pattern expands to more than " +
+                  std::to_string(Parser::kMaxUnionBranches) +
+                  " union-free branches");
+    }
     return acc;
   }
 
-  util::Result<std::unique_ptr<Pattern>> ParseGroupOrUnion() {
-    auto left = ParseGroup();
+  /// `{..} UNION {..} ...`; the arms' branch counts add up.
+  util::Result<std::unique_ptr<Pattern>> ParseGroupOrUnion(size_t* branches) {
+    auto left = ParseGroup(branches);
     if (!left.ok()) return left;
     std::unique_ptr<Pattern> acc = std::move(left).value();
     while (PeekKeyword("UNION")) {
       Advance();
-      auto right = ParseGroup();
+      size_t right_branches = 0;
+      auto right = ParseGroup(&right_branches);
       if (!right.ok()) return right;
       acc = Pattern::Union(std::move(acc), std::move(right).value());
       ++nodes_;
+      *branches = SaturatingAdd(*branches, right_branches);
     }
     return acc;
+  }
+
+  static size_t SaturatingAdd(size_t a, size_t b) {
+    size_t sum;
+    return __builtin_add_overflow(a, b, &sum) ? SIZE_MAX : sum;
+  }
+  static size_t SaturatingMul(size_t a, size_t b) {
+    size_t product;
+    return __builtin_mul_overflow(a, b, &product) ? SIZE_MAX : product;
   }
 
   util::Status TooManyNodes() const {

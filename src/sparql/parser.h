@@ -33,10 +33,17 @@ namespace sparqlsim::sparql {
 /// chain as deep as they are many, and every later pass over the tree
 /// (union normal form, printing, destruction) recurses along it, so a
 /// hostile query could otherwise exhaust the stack.
+///
+/// A pattern also expands to at most kMaxUnionBranches union-free branches
+/// (the size of its union normal form: a BGP is one branch, UNION adds its
+/// arms' counts, AND and OPTIONAL multiply them), checked as each group
+/// closes. Twenty juxtaposed `{A} UNION {B}` groups are only 79 nodes but
+/// 2^20 branches, which the solver would enumerate one by one.
 class Parser {
  public:
   static constexpr size_t kMaxGroupDepth = 256;
   static constexpr size_t kMaxPatternNodes = 4096;
+  static constexpr size_t kMaxUnionBranches = 4096;
 
   /// Parses a full SELECT query.
   static util::Result<Query> Parse(std::string_view text);

@@ -115,7 +115,7 @@ class BitMatrix {
   template <typename SelT>
   void MultiplyImpl(const SelT& x, size_t selected, BitVector* out) const {
     // Clearing the whole destination is what lets the solver hand in a
-    // recycled, dirty scratch mask.
+    // mask slot still dirty from an earlier round.
     out->ClearAll();
     // Iterate whichever index is smaller: the set bits of x (with a row
     // lookup each) or the non-empty row list (with a bit test each).

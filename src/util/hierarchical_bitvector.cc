@@ -37,12 +37,6 @@ void HierarchicalBitVector::SetAll() {
 }
 
 void HierarchicalBitVector::ClearAll() {
-  // The summary is exact, so wiping only the live blocks clears every set
-  // bit — ClearAll and ClearLive are the same operation at different cost.
-  ClearLive();
-}
-
-void HierarchicalBitVector::ClearLive() {
   uint64_t* w = bits_.mutable_words();
   const size_t word_count = bits_.WordCount();
   for (size_t sw = 0; sw < summary_.size(); ++sw) {
@@ -56,19 +50,7 @@ void HierarchicalBitVector::ClearLive() {
       const size_t w_begin = block * kWordsPerBlock;
       const size_t w_end = std::min(w_begin + kWordsPerBlock, word_count);
       for (size_t i = w_begin; i < w_end; ++i) w[i] = 0;
-      words_cleared_ += w_end - w_begin;
     }
-  }
-}
-
-void HierarchicalBitVector::ResetForReuse(size_t num_bits) {
-  // Clear first so a subsequent shrink/grow only ever sees zero payload
-  // (BitVector::Resize zeroes new bits but keeps surviving ones).
-  ClearLive();
-  if (bits_.size() != num_bits) {
-    bits_.Resize(num_bits);
-    summary_.resize(SummaryWordsFor(NumBlocks()));
-    std::fill(summary_.begin(), summary_.end(), 0);
   }
 }
 

@@ -25,11 +25,10 @@ namespace sparqlsim::util {
 /// Invariant: summary bit b is set *iff* block b has a nonzero word
 /// (exact, not conservative), and the underlying BitVector keeps its own
 /// tail invariant (bits at positions >= size() stay zero). The mutator
-/// set is deliberately minimal — Set / SetAll / ClearAll / ClearLive /
-/// AndWith plus the recycle helpers ResetForReuse and
-/// AssignFrom — which is everything the solver's monotone-shrink loop
-/// and the scratch-pool recycle path need; there is no single-bit Reset,
-/// whose summary maintenance would need a block rescan.
+/// set is deliberately minimal — Set / SetAll / ClearAll / AssignFrom /
+/// AndWith — which is everything the solver's monotone-shrink loop
+/// needs; there is no single-bit Reset, whose summary maintenance would
+/// need a block rescan.
 ///
 /// `blocks_skipped()` counts the zero blocks the AndWith kernels skipped.
 /// Only AndWith counts (the solver calls it single-threaded, in the
@@ -62,22 +61,10 @@ class HierarchicalBitVector {
   void Set(size_t i);
   bool Test(size_t i) const { return bits_.Test(i); }
   void SetAll();
+  /// Zeroes only the blocks whose summary bit is set: the summary is
+  /// exact, so that clears every set bit, and a mostly drained vector pays
+  /// O(live blocks) instead of O(universe/64).
   void ClearAll();
-
-  /// Zeroes only the blocks whose summary bit is set. Because the summary
-  /// is exact (not conservative), this is observationally identical to
-  /// ClearAll — ClearAll simply delegates here — but a recycled, mostly
-  /// drained vector pays O(live blocks) instead of O(universe/64). The
-  /// payload words actually zeroed are added to words_cleared().
-  void ClearLive();
-
-  /// Reshapes to an all-zero vector of `num_bits`, reusing the existing
-  /// word storage: same-size vectors pay only a ClearLive, resizes keep
-  /// whatever capacity the allocator already handed out. Logically
-  /// equivalent to `*this = HierarchicalBitVector(num_bits)` minus the
-  /// allocation; the skip/clear counters are left untouched (they are
-  /// harvested independently).
-  void ResetForReuse(size_t num_bits);
 
   /// Copy-assigns the payload from `src` (reusing capacity) and rebuilds
   /// the summary. Logically `*this = HierarchicalBitVector(copy_of_src)`.
@@ -131,17 +118,6 @@ class HierarchicalBitVector {
     return taken;
   }
 
-  /// Payload words zeroed by ClearLive so far — the price actually paid
-  /// for wiping recycled buffers, as opposed to the O(universe/64) a
-  /// dense memset would cost. Same single-threaded mutator discipline as
-  /// blocks_skipped().
-  uint64_t words_cleared() const { return words_cleared_; }
-  uint64_t TakeWordsCleared() {
-    uint64_t taken = words_cleared_;
-    words_cleared_ = 0;
-    return taken;
-  }
-
  private:
   size_t NumBlocks() const {
     return (bits_.WordCount() + kWordsPerBlock - 1) / kWordsPerBlock;
@@ -152,7 +128,6 @@ class HierarchicalBitVector {
   BitVector bits_;
   std::vector<uint64_t> summary_;  // bit b: block b has a nonzero word
   uint64_t blocks_skipped_ = 0;
-  uint64_t words_cleared_ = 0;
 };
 
 }  // namespace sparqlsim::util

@@ -330,5 +330,65 @@ TEST(HierarchicalBitVectorTest, RandomizedDifferentialAgainstBitVector) {
   }
 }
 
+BitVector RandomVector(Rng* rng, size_t n, double density) {
+  BitVector v(n);
+  for (size_t i = 0; i < n; ++i) {
+    if (rng->NextBool(density)) v.Set(i);
+  }
+  return v;
+}
+
+TEST(HierarchicalBitVectorTest, ClearAllOfADrainedVectorEqualsAFreshOne) {
+  Rng rng(17);
+  for (size_t n : {64u, 600u, 4095u, 4096u, 4097u, 3 * 4096u + 9u}) {
+    for (double density : {0.0, 0.001, 0.3}) {
+      // Partly drained: some blocks live, some emptied by an AND.
+      HierarchicalBitVector used(RandomVector(&rng, n, density));
+      used.AndWith(RandomVector(&rng, n, 0.5));
+      used.ClearAll();
+
+      HierarchicalBitVector fresh(n);
+      EXPECT_EQ(used.size(), fresh.size());
+      EXPECT_EQ(used.Count(), 0u);
+      EXPECT_FALSE(used.Any());
+      EXPECT_EQ(used.bits(), fresh.bits());
+
+      // Drive both through the same mutations: every observable (count,
+      // membership, change reports) must stay equal.
+      for (size_t i = 0; i < n; i += 4096) {
+        used.Set(i);
+        fresh.Set(i);
+      }
+      EXPECT_EQ(used.Count(), (n + 4095) / 4096);
+      BitVector mask = RandomVector(&rng, n, 0.3);
+      used.SetAll();
+      fresh.SetAll();
+      EXPECT_EQ(used.AndWith(mask), fresh.AndWith(mask));
+      EXPECT_EQ(used.Count(), fresh.Count());
+      EXPECT_EQ(used.bits(), fresh.bits());
+    }
+  }
+}
+
+TEST(HierarchicalBitVectorTest, AssignFromMatchesSeedingConstructor) {
+  Rng rng(23);
+  for (double density : {0.0, 0.004, 0.6}) {
+    const size_t n = 5000;
+    BitVector seed = RandomVector(&rng, n, density);
+    // A differently sized, all-ones target: nothing of it may survive.
+    HierarchicalBitVector assigned(n / 2, true);
+    assigned.AssignFrom(seed);
+    HierarchicalBitVector fresh(seed);
+    EXPECT_EQ(assigned.size(), fresh.size());
+    EXPECT_EQ(assigned.Count(), fresh.Count());
+    EXPECT_EQ(assigned.Any(), fresh.Any());
+    EXPECT_EQ(assigned.bits(), fresh.bits());
+    // The rebuilt summary must drive the zero-block kernels exactly.
+    BitVector mask = RandomVector(&rng, n, 0.5);
+    EXPECT_EQ(assigned.AndWith(mask), fresh.AndWith(mask));
+    EXPECT_EQ(assigned.bits(), fresh.bits());
+  }
+}
+
 }  // namespace
 }  // namespace sparqlsim::util

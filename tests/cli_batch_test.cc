@@ -145,4 +145,31 @@ TEST_F(CliBatchTest, UnknownFlagIsUsageError) {
   EXPECT_EQ(code, 2);
 }
 
+TEST_F(CliBatchTest, MalformedSizeFlagsAreUsageErrors) {
+  for (const char* flags :
+       {"--threads abc", "--queue-depth=-1", "--resident-mb abc",
+        "--resident-mb 17592186044416", "--repeat 2x", "--deadline-ms ''"}) {
+    int code = 0;
+    RunCommand(Batch() + " " + flags + " " + NtPath() + " " + QueriesPath(),
+               &code);
+    EXPECT_EQ(code, 2) << flags;
+  }
+}
+
+TEST_F(CliBatchTest, UnionExpansionBeyondTheLimitIsAParseError) {
+  // 2^20 union-free branches: rejected while loading the query file.
+  std::string path = ::testing::TempDir() + "sparqlsim_batch_unions.rq";
+  {
+    std::ofstream out(path);
+    out << "SELECT * WHERE { ";
+    for (int i = 0; i < 20; ++i) {
+      out << "{ ?x <knows> ?y } UNION { ?x <likes> ?y } ";
+    }
+    out << "}\n";
+  }
+  int code = 0;
+  RunCommand("timeout 20 " + Batch() + " " + NtPath() + " " + path, &code);
+  EXPECT_EQ(code, 1);
+}
+
 }  // namespace

@@ -136,6 +136,25 @@ TEST_F(CliIngestTest, RejectsUsageErrors) {
   EXPECT_EQ(exit_code, 2);
 }
 
+TEST_F(CliIngestTest, MalformedSizeFlagsAreUsageErrors) {
+  // Before strict parsing, "--threads=abc" read as 0 (all hardware
+  // threads) and converted happily; 2^44 MiB overflows the chunk size.
+  for (const char* flags :
+       {"--threads=abc", "--threads abc", "--threads -1", "--chunk-mb abc",
+        "--chunk-mb=8k", "--chunk-mb 17592186044416", "--chunk-mb"}) {
+    int exit_code = 0;
+    RunCommand(std::string(SPARQLSIM_INGEST) + " " + flags + " " + kNt +
+                   " /tmp/sparqlsim_ingest_badflag.gdb",
+               &exit_code);
+    EXPECT_EQ(exit_code, 2) << flags;
+  }
+  int exit_code = 0;
+  RunCommand(std::string(SPARQLSIM_INGEST) + " --threads=2 --chunk-mb=1 " +
+                 kNt + " /tmp/sparqlsim_ingest_goodflag.gdb",
+             &exit_code);
+  EXPECT_EQ(exit_code, 0);
+}
+
 // Regression: a truncated .gz (interrupted download, partial copy) must
 // fail the ingest AND leave nothing at the output path — the tmp-file +
 // atomic-rename write means the destination either holds a complete

@@ -173,4 +173,51 @@ TEST_F(CliTest, HostileSiblingGroupsAreAParseErrorNotACrash) {
   }
 }
 
+TEST_F(CliTest, UnionExpansionBeyondTheLimitIsAPromptParseError) {
+  // 20 juxtaposed UNION groups expand to 2^20 union-free branches; the
+  // parser rejects the query before anything enumerates them. `timeout`
+  // turns a hang into exit 124 instead of a stuck suite.
+  const std::string path = "/tmp/sparqlsim_cli_test_unions.rq";
+  {
+    std::ofstream out(path);
+    out << "SELECT * WHERE { ";
+    for (int i = 0; i < 20; ++i) {
+      out << "{ ?a <directed> ?b } UNION { ?a <actedIn> ?b } ";
+    }
+    out << "}";
+  }
+  for (const char* command : {" query ", " prune "}) {
+    int code = 0;
+    std::string args = NtPath() + " " + path;
+    if (std::string(command) == " prune ") {
+      args += " /tmp/sparqlsim_cli_test_unions.nt";
+    }
+    RunCommand("timeout 20 " + std::string(SPARQLSIM_CLI) + command + args,
+               &code);
+    EXPECT_EQ(code, 1) << command;
+  }
+}
+
+TEST_F(CliTest, MalformedSizeFlagsAreUsageErrors) {
+  // strtoull would read "abc" as 0 (unbounded/auto) and "-1" as 2^64 - 1;
+  // 2^44 MiB overflows a byte count.
+  for (const char* flags :
+       {"--resident-mb abc", "--resident-mb=12x",
+        "--resident-mb 17592186044416", "--resident-mb -1", "--threads abc",
+        "--threads=", "--threads ' 4'",
+        "--cache-capacity 1e3", "--deadline-ms abc",
+        "--threads 99999999999999999999999"}) {
+    int code = 0;
+    RunCommand(std::string(SPARQLSIM_CLI) + " " + flags + " stats " +
+                   NtPath(),
+               &code);
+    EXPECT_EQ(code, 2) << flags;
+  }
+  int code = 0;
+  RunCommand(std::string(SPARQLSIM_CLI) +
+                 " --resident-mb 17592186044415 --threads 1 stats " + NtPath(),
+             &code);
+  EXPECT_EQ(code, 0);
+}
+
 }  // namespace

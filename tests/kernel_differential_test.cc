@@ -194,7 +194,8 @@ TEST(KernelDifferentialTest, MultiplyAgreesAcrossSelectorRepresentations) {
         BitVector expected(n);
         a.Multiply(x, &expected);
 
-        // A dirty destination must be fully overwritten (recycled masks).
+        // A dirty destination must be fully overwritten (mask slots are
+        // reused across fixpoint rounds).
         BitVector via_hier(n, true);
         a.Multiply(HierarchicalBitVector(x), x.Count(), &via_hier);
         EXPECT_EQ(via_hier, expected);

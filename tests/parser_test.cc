@@ -4,6 +4,7 @@
 
 #include <string>
 
+#include "sparql/normalize.h"
 #include "sparql/printer.h"
 
 namespace sparqlsim::sparql {
@@ -286,6 +287,56 @@ TEST(ParserTest, HostileSiblingGroupsAreAParseErrorNotACrash) {
   auto pattern = Parser::ParsePattern(
       SiblingGroups(200000).substr(std::string("SELECT * WHERE ").size()));
   ASSERT_FALSE(pattern.ok());
+}
+
+// `groups` juxtaposed `{A} UNION {B}` groups: 2^groups union-free branches
+// from only 4 * groups - 1 pattern nodes.
+std::string JuxtaposedUnions(size_t groups) {
+  std::string q;
+  for (size_t i = 0; i < groups; ++i) {
+    const std::string n = std::to_string(i);
+    q += "{ ?a" + n + " <directed> ?b" + n + " } UNION { ?a" + n +
+         " <actedIn> ?b" + n + " } ";
+  }
+  return q;
+}
+
+void ExpectBranchError(const util::Result<Query>& r) {
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.error_message().find("union-free branches"), std::string::npos)
+      << r.error_message();
+}
+
+TEST(ParserTest, UnionExpansionAtTheBranchLimitParses) {
+  static_assert(Parser::kMaxUnionBranches == size_t{1} << 12);
+  auto r = Parser::Parse("SELECT * WHERE { " + JuxtaposedUnions(12) + "}");
+  ASSERT_TRUE(r.ok()) << r.error_message();
+  EXPECT_EQ(UnionNormalForm(*r.value().where).size(),
+            Parser::kMaxUnionBranches);
+}
+
+TEST(ParserTest, UnionExpansionOneBeyondTheBranchLimitIsAParseError) {
+  // 2^12 + 1: the limit's worth of branches, UNION one more BGP.
+  ExpectBranchError(Parser::Parse("SELECT * WHERE { { " +
+                                  JuxtaposedUnions(12) +
+                                  "} UNION { ?s <p> ?o . } }"));
+  // OPTIONAL multiplies like AND: 2^6 * 2^7 branches.
+  ExpectBranchError(Parser::Parse("SELECT * WHERE { " + JuxtaposedUnions(6) +
+                                  "OPTIONAL { " + JuxtaposedUnions(7) +
+                                  "} }"));
+  // The pattern entry point applies the same limit.
+  auto pattern = Parser::ParsePattern("{ { { " + JuxtaposedUnions(13) +
+                                      "} } }");
+  ASSERT_FALSE(pattern.ok());
+}
+
+TEST(ParserTest, HostileUnionExpansionIsAParseErrorNotAHang) {
+  // 2^20 branches used to be enumerated one by one; 2^200 would overflow
+  // an unsaturated count back to a small number.
+  for (size_t groups : {size_t{20}, size_t{64}, size_t{200}}) {
+    ExpectBranchError(
+        Parser::Parse("SELECT * WHERE { " + JuxtaposedUnions(groups) + "}"));
+  }
 }
 
 }  // namespace

@@ -134,8 +134,8 @@ SPARQLSIM_BENCH_JSON="$RUN_DIR/bench_outofcore.json" run_bench bench_outofcore
   # Structured per-bench JSON, embedded verbatim: the ablation block carries
   # the incremental-evaluation on/off comparison (seconds + per-variant
   # rounds/updates/delta counters), parallel the thread scaling, service the
-  # throughput numbers across the worker, steady-state, and snapshot-churn
-  # axes (samples[] + the steady and churn objects).
+  # throughput numbers across the worker and snapshot-churn axes (samples[]
+  # + the churn object).
   echo '  "ablation":'
   cat "$RUN_DIR/bench_ablation.json"
   echo '  ,"parallel":'
@@ -151,13 +151,6 @@ SPARQLSIM_BENCH_JSON="$RUN_DIR/bench_outofcore.json" run_bench bench_outofcore
   # (resident/materializations/evictions) per variant.
   echo '  ,"outofcore":'
   cat "$RUN_DIR/bench_outofcore.json"
-  # service_baseline: the committed pre-scratch-pool bench_service run
-  # (HEAD before the pooled-scratch change), embedded so the summary
-  # carries both sides of the steady-state comparison.
-  if [[ -f "$REPO_ROOT/bench/baseline/service_head_4e24ab4.json" ]]; then
-    echo '  ,"service_baseline":'
-    cat "$REPO_ROOT/bench/baseline/service_head_4e24ab4.json"
-  fi
   echo '}'
 } >"$RUN_DIR/summary.json"
 

@@ -19,10 +19,6 @@
 //   --incremental|--no-incremental
 //                       toggle delta-driven fixpoint evaluation (on by
 //                       default; bit-identical results either way)
-//   --scratch-pool|--no-scratch-pool
-//                       toggle solve-scratch recycling (on by default;
-//                       bit-identical results either way — the off state
-//                       is the differential oracle's allocation profile)
 //   --deadline-ms N     per-query compute budget; expired queries return a
 //                       sound over-approximation marked "truncated"
 //   --priority high|low default admission class for untagged queries
@@ -81,7 +77,6 @@ int Usage() {
       "usage: sparqlsim_batch [--threads N] [--queue-depth N]\n"
       "                       [--cache-capacity N] [--cache|--no-cache]\n"
       "                       [--incremental|--no-incremental]\n"
-      "                       [--scratch-pool|--no-scratch-pool]\n"
       "                       [--deadline-ms N] [--priority high|low]\n"
       "                       [--repeat K] [--db file.gdb] "
       "[--resident-mb M]\n"
@@ -281,13 +276,6 @@ int Run(int argc, char** argv) {
   const char* deltas_path = nullptr;
   std::vector<const char*> args;
 
-  auto parse_size = [](const char* text, size_t* out) {
-    char* end = nullptr;
-    unsigned long long value = std::strtoull(text, &end, 10);
-    if (end == text || *end != '\0') return false;
-    *out = static_cast<size_t>(value);
-    return true;
-  };
   auto flag_value = [&](int& i, const char* name,
                         const char** out) -> bool {
     size_t len = std::strlen(name);
@@ -308,27 +296,38 @@ int Run(int argc, char** argv) {
     const char* value = nullptr;
     if (!flag_value(i, "--threads", &value)) return Usage();
     if (value != nullptr) {
-      if (!parse_size(value, &options.num_workers)) return Usage();
+      if (!tools::ParseSize(value, "--threads", &options.num_workers)) {
+        return Usage();
+      }
       continue;
     }
     if (!flag_value(i, "--queue-depth", &value)) return Usage();
     if (value != nullptr) {
-      if (!parse_size(value, &options.queue_depth)) return Usage();
+      if (!tools::ParseSize(value, "--queue-depth", &options.queue_depth)) {
+        return Usage();
+      }
       continue;
     }
     if (!flag_value(i, "--cache-capacity", &value)) return Usage();
     if (value != nullptr) {
-      if (!parse_size(value, &options.cache_capacity)) return Usage();
+      if (!tools::ParseSize(value, "--cache-capacity",
+                            &options.cache_capacity)) {
+        return Usage();
+      }
       continue;
     }
     if (!flag_value(i, "--repeat", &value)) return Usage();
     if (value != nullptr) {
-      if (!parse_size(value, &repeat) || repeat == 0) return Usage();
+      if (!tools::ParseSize(value, "--repeat", &repeat) || repeat == 0) {
+        return Usage();
+      }
       continue;
     }
     if (!flag_value(i, "--deadline-ms", &value)) return Usage();
     if (value != nullptr) {
-      if (!parse_size(value, &deadline_ms)) return Usage();
+      if (!tools::ParseSize(value, "--deadline-ms", &deadline_ms)) {
+        return Usage();
+      }
       continue;
     }
     if (!flag_value(i, "--priority", &value)) return Usage();
@@ -349,7 +348,9 @@ int Run(int argc, char** argv) {
     }
     if (!flag_value(i, "--resident-mb", &value)) return Usage();
     if (value != nullptr) {
-      if (!parse_size(value, &resident_mb)) return Usage();
+      if (!tools::ParseSize(value, "--resident-mb", &resident_mb, 20)) {
+        return Usage();
+      }
       continue;
     }
     if (!flag_value(i, "--deltas", &value)) return Usage();
@@ -375,14 +376,6 @@ int Run(int argc, char** argv) {
     }
     if (std::strcmp(argv[i], "--no-incremental") == 0) {
       options.solver.incremental_eval = false;
-      continue;
-    }
-    if (std::strcmp(argv[i], "--scratch-pool") == 0) {
-      options.solver.reuse_scratch = true;
-      continue;
-    }
-    if (std::strcmp(argv[i], "--no-scratch-pool") == 0) {
-      options.solver.reuse_scratch = false;
       continue;
     }
     if (std::strncmp(argv[i], "--", 2) == 0) return Usage();
@@ -483,12 +476,6 @@ int Run(int argc, char** argv) {
               stats.cache.soi_evictions, stats.cache.solution_evictions,
               stats.cache.generation_evictions, stats.cached_sois,
               stats.cached_solutions, capacity.c_str());
-  std::printf("scratch: %llu reuses / %llu allocs, %llu bytes recycled, "
-              "%llu words cleared sparsely\n",
-              static_cast<unsigned long long>(stats.scratch_reuses),
-              static_cast<unsigned long long>(stats.scratch_allocs),
-              static_cast<unsigned long long>(stats.bytes_recycled),
-              static_cast<unsigned long long>(stats.words_cleared_sparse));
   return 0;
 }
 

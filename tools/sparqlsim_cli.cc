@@ -22,12 +22,6 @@
 //   --no-incremental  disable delta-driven incremental fixpoint evaluation
 //                 (--incremental re-enables; on by default). Purely a
 //                 wall-clock knob: results are bit-identical either way.
-//   --no-scratch-pool  disable solve-scratch recycling (--scratch-pool
-//                 re-enables; on by default). Every solve then allocates
-//                 fresh buffers — the differential oracle configuration.
-//                 Purely an allocation knob: results are bit-identical
-//                 either way. SPARQLSIM_NO_SCRATCH=1 sets the same switch
-//                 from the environment.
 //   --deadline-ms N  per-query compute budget for sim/prune; an expired
 //                 query stops at the next round boundary and reports a
 //                 sound over-approximation (marked "truncated").
@@ -84,7 +78,6 @@ int Usage() {
   std::fprintf(stderr,
                "usage: sparqlsim [--threads N] [--cache|--no-cache] "
                "[--cache-capacity N] [--incremental|--no-incremental] "
-               "[--scratch-pool|--no-scratch-pool] "
                "[--deadline-ms N] [--priority high|low] "
                "[--db file.gdb] [--resident-mb M] "
                "<stats|query|prune|sim|bench|explain|convert> "
@@ -262,21 +255,8 @@ int Run(int argc, char** argv) {
   auto priority = util::AdmissionGate::Priority::kHigh;
   bool use_service = false;  // --deadline-ms/--priority route via the service
   std::vector<const char*> args;
-  auto parse_size_flag = [](const char* text, const char* name, size_t* out) {
-    char* end = nullptr;
-    unsigned long long value = std::strtoull(text, &end, 10);
-    if (end == text || *end != '\0') {
-      std::fprintf(stderr, "invalid %s value '%s'\n", name, text);
-      return false;
-    }
-    *out = static_cast<size_t>(value);
-    return true;
-  };
-  auto parse_threads = [&](const char* text) {
-    return parse_size_flag(text, "--threads", &options.num_threads);
-  };
   auto parse_deadline = [&](const char* text) {
-    if (!parse_size_flag(text, "--deadline-ms", &deadline_ms)) return false;
+    if (!tools::ParseSize(text, "--deadline-ms", &deadline_ms)) return false;
     use_service = true;
     return true;
   };
@@ -294,23 +274,18 @@ int Run(int argc, char** argv) {
     use_service = true;
     return true;
   };
-  auto parse_capacity = [&](const char* text) {
-    char* end = nullptr;
-    unsigned long long value = std::strtoull(text, &end, 10);
-    if (end == text || *end != '\0') {
-      std::fprintf(stderr, "invalid --cache-capacity value '%s'\n", text);
-      return false;
-    }
-    options.cache_capacity = static_cast<size_t>(value);
-    return true;
-  };
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--threads") == 0) {
-      if (i + 1 >= argc || !parse_threads(argv[++i])) return Usage();
+      if (i + 1 >= argc ||
+          !tools::ParseSize(argv[++i], "--threads", &options.num_threads)) {
+        return Usage();
+      }
       continue;
     }
     if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      if (!parse_threads(argv[i] + 10)) return Usage();
+      if (!tools::ParseSize(argv[i] + 10, "--threads", &options.num_threads)) {
+        return Usage();
+      }
       continue;
     }
     if (std::strcmp(argv[i], "--db") == 0) {
@@ -323,21 +298,30 @@ int Run(int argc, char** argv) {
       continue;
     }
     if (std::strcmp(argv[i], "--resident-mb") == 0) {
-      if (i + 1 >= argc) return Usage();
-      resident_mb = static_cast<size_t>(std::strtoull(argv[++i], nullptr, 10));
+      if (i + 1 >= argc ||
+          !tools::ParseSize(argv[++i], "--resident-mb", &resident_mb, 20)) {
+        return Usage();
+      }
       continue;
     }
     if (std::strncmp(argv[i], "--resident-mb=", 14) == 0) {
-      resident_mb =
-          static_cast<size_t>(std::strtoull(argv[i] + 14, nullptr, 10));
+      if (!tools::ParseSize(argv[i] + 14, "--resident-mb", &resident_mb, 20)) {
+        return Usage();
+      }
       continue;
     }
     if (std::strcmp(argv[i], "--cache-capacity") == 0) {
-      if (i + 1 >= argc || !parse_capacity(argv[++i])) return Usage();
+      if (i + 1 >= argc || !tools::ParseSize(argv[++i], "--cache-capacity",
+                                             &options.cache_capacity)) {
+        return Usage();
+      }
       continue;
     }
     if (std::strncmp(argv[i], "--cache-capacity=", 17) == 0) {
-      if (!parse_capacity(argv[i] + 17)) return Usage();
+      if (!tools::ParseSize(argv[i] + 17, "--cache-capacity",
+                            &options.cache_capacity)) {
+        return Usage();
+      }
       continue;
     }
     if (std::strcmp(argv[i], "--cache") == 0) {
@@ -350,14 +334,6 @@ int Run(int argc, char** argv) {
     }
     if (std::strcmp(argv[i], "--incremental") == 0) {
       options.incremental_eval = true;
-      continue;
-    }
-    if (std::strcmp(argv[i], "--scratch-pool") == 0) {
-      options.reuse_scratch = true;
-      continue;
-    }
-    if (std::strcmp(argv[i], "--no-scratch-pool") == 0) {
-      options.reuse_scratch = false;
       continue;
     }
     if (std::strcmp(argv[i], "--no-incremental") == 0) {

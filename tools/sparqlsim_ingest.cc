@@ -200,33 +200,34 @@ int Run(int argc, char** argv) {
   std::vector<std::string> positional;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    auto next_value = [&](const char* flag) -> const char* {
+    // The value of `--flag V` or `--flag=V`; null (after a diagnostic) when
+    // `--flag` is last on the command line.
+    auto flag_value = [&](const char* flag) -> const char* {
+      if (arg != flag) return argv[i] + std::strlen(flag) + 1;
       if (i + 1 >= argc) {
         std::fprintf(stderr, "%s needs a value\n", flag);
         return nullptr;
       }
       return argv[++i];
     };
+    auto is_flag = [&](const char* flag) {
+      const size_t len = std::strlen(flag);
+      return arg.compare(0, len, flag) == 0 &&
+             (arg.size() == len || arg[len] == '=');
+    };
     if (arg == "--permissive") {
       config.parse.permissive = true;
     } else if (arg == "--stats") {
       config.print_stats = true;
-    } else if (arg == "--threads") {
-      const char* value = next_value("--threads");
-      if (value == nullptr) return Usage();
-      config.parse.num_threads =
-          static_cast<size_t>(std::strtoull(value, nullptr, 10));
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      config.parse.num_threads = static_cast<size_t>(
-          std::strtoull(arg.c_str() + std::strlen("--threads="), nullptr, 10));
-    } else if (arg == "--format" || arg.rfind("--format=", 0) == 0) {
-      const char* value;
-      if (arg == "--format") {
-        value = next_value("--format");
-        if (value == nullptr) return Usage();
-      } else {
-        value = arg.c_str() + std::strlen("--format=");
+    } else if (is_flag("--threads")) {
+      const char* value = flag_value("--threads");
+      if (value == nullptr ||
+          !tools::ParseSize(value, "--threads", &config.parse.num_threads)) {
+        return Usage();
       }
+    } else if (is_flag("--format")) {
+      const char* value = flag_value("--format");
+      if (value == nullptr) return Usage();
       if (std::strcmp(value, "v1") == 0) {
         config.format_v2 = false;
       } else if (std::strcmp(value, "v2") == 0) {
@@ -235,10 +236,12 @@ int Run(int argc, char** argv) {
         std::fprintf(stderr, "--format must be v1 or v2, got '%s'\n", value);
         return Usage();
       }
-    } else if (arg == "--chunk-mb") {
-      const char* value = next_value("--chunk-mb");
-      if (value == nullptr) return Usage();
-      size_t mb = static_cast<size_t>(std::strtoull(value, nullptr, 10));
+    } else if (is_flag("--chunk-mb")) {
+      const char* value = flag_value("--chunk-mb");
+      size_t mb = 0;
+      if (value == nullptr || !tools::ParseSize(value, "--chunk-mb", &mb, 20)) {
+        return Usage();
+      }
       if (mb == 0) {
         std::fprintf(stderr, "--chunk-mb must be >= 1\n");
         return Usage();

@@ -1,7 +1,9 @@
 // Small helpers shared by the command-line tools.
 #pragma once
 
+#include <cerrno>
 #include <cstddef>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
@@ -14,6 +16,28 @@
 #include "util/stopwatch.h"
 
 namespace sparqlsim::tools {
+
+/// Parses a numeric flag value: plain decimal digits only (no sign, no
+/// whitespace, no suffix), and the value shifted left by `shift` bits must
+/// fit in size_t (the MiB flags pass 20). On failure prints a diagnostic
+/// naming `flag` and returns false, leaving `*out` untouched.
+inline bool ParseSize(const char* text, const char* flag, size_t* out,
+                      unsigned shift = 0) {
+  bool ok = text[0] >= '0' && text[0] <= '9';
+  unsigned long long value = 0;
+  if (ok) {
+    char* end = nullptr;
+    errno = 0;
+    value = std::strtoull(text, &end, 10);
+    ok = *end == '\0' && errno != ERANGE && value <= (SIZE_MAX >> shift);
+  }
+  if (!ok) {
+    std::fprintf(stderr, "invalid %s value '%s'\n", flag, text);
+    return false;
+  }
+  *out = static_cast<size_t>(value);
+  return true;
+}
 
 /// Sentinel for LoadDatabase's resident_mb: fall back to the
 /// SPARQLSIM_RESIDENT_MB environment variable (unbounded when unset).
