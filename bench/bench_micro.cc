@@ -84,7 +84,7 @@ void BM_MatrixColumnIntersect(benchmark::State& state) {
   size_t n = 1 << 16;
   util::BitMatrix m = RandomMatrix(n, 1 << 18, 6);
   util::BitVector y = RandomVector(n, 0.05, 7);
-  auto rows = m.NonEmptyRows();
+  const std::vector<uint32_t> rows = m.RowSummary().ToIndexVector();
   size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(m.RowIntersects(rows[i % rows.size()], y));

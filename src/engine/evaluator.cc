@@ -211,15 +211,15 @@ SolutionSet Evaluator::EvalBgp(
       } else if (rp.subject.is_var && rp.object.is_var &&
                  rp.subject.var_index == rp.object.var_index) {
         // Self-loop pattern ?x p ?x.
-        for (uint32_t s : fwd.NonEmptyRows()) {
+        fwd.RowSummary().ForEachSetBit([&](uint32_t s) {
           if (fwd.Test(s, s)) emit(row, rp.subject.var_index, s, -1, 0);
-        }
+        });
       } else {
-        for (uint32_t s : fwd.NonEmptyRows()) {
-          for (uint32_t o : fwd.Row(s)) {
+        fwd.ForEachRow([&](uint32_t s, std::span<const uint32_t> objects) {
+          for (uint32_t o : objects) {
             emit(row, rp.subject.var_index, s, rp.object.var_index, o);
           }
-        }
+        });
       }
     }
     rows = std::move(next);

@@ -182,14 +182,14 @@ void AppendMatrixV2(const util::BitMatrix& m, size_t n,
                     std::vector<uint8_t>* out) {
   uint32_t previous_row = 0;
   std::vector<uint8_t> row_bytes;
-  for (uint32_t row : m.NonEmptyRows()) {
+  m.ForEachRow([&](uint32_t row, std::span<const uint32_t> cols) {
     row_bytes.clear();
-    util::GapCodec::EncodeFromIndices(m.Row(row), n, &row_bytes);
+    util::GapCodec::EncodeFromIndices(cols, n, &row_bytes);
     AppendVarint(row - previous_row, out);
     previous_row = row;
     AppendVarint(row_bytes.size(), out);
     out->insert(out->end(), row_bytes.begin(), row_bytes.end());
-  }
+  });
 }
 
 V2Block BuildPredicateBlock(const GraphDatabase& db, uint32_t p) {
@@ -436,12 +436,6 @@ class MmapBacking : public OutOfCoreBacking {
       return util::Status::Error("predicate block " + std::to_string(p) +
                                  ": triple count disagrees with directory");
     }
-    slab->forward_summary = slab->forward.RowSummary();
-    slab->backward_summary = slab->backward.RowSummary();
-    slab->subject_count = slab->forward_summary.Count();
-    slab->object_count = slab->backward_summary.Count();
-    slab->empty_forward_cols = num_nodes - slab->object_count;
-    slab->empty_backward_cols = num_nodes - slab->subject_count;
     return std::shared_ptr<const Slab>(std::move(slab));
   }
 
@@ -735,8 +729,7 @@ void BinaryIo::Save(const GraphDatabase& db, std::ostream& out) {
     const util::BitMatrix& m = db.Forward(p);
     PutVarint(m.NumNonEmptyRows(), out);
     uint32_t previous_row = 0;
-    for (uint32_t row : m.NonEmptyRows()) {
-      auto cols = m.Row(row);
+    m.ForEachRow([&](uint32_t row, std::span<const uint32_t> cols) {
       PutVarint(row - previous_row, out);
       previous_row = row;
       PutVarint(cols.size(), out);
@@ -745,7 +738,7 @@ void BinaryIo::Save(const GraphDatabase& db, std::ostream& out) {
         PutVarint(col - previous_col, out);
         previous_col = col;
       }
-    }
+    });
   }
 }
 

@@ -146,8 +146,7 @@ ResidencyPin& ResidencyPin::operator=(ResidencyPin&& other) noexcept {
 }
 
 size_t OutOfCoreBacking::SlabBytes(const Slab& slab) {
-  return slab.forward.ApproxBytes() + slab.backward.ApproxBytes() +
-         slab.forward_summary.size() / 4;  // two summary vectors, n/8 each
+  return slab.forward.ApproxBytes() + slab.backward.ApproxBytes();
 }
 
 void OutOfCoreBacking::AttachSlot(
@@ -273,15 +272,6 @@ std::shared_ptr<const GraphDatabase::PredicateSlab> GraphDatabase::BuildSlab(
   auto slab = std::make_shared<PredicateSlab>();
   slab->forward = util::BitMatrix::Build(n, n, std::move(entries));
   slab->backward = slab->forward.Transposed();
-  slab->forward_summary = slab->forward.RowSummary();
-  slab->backward_summary = slab->backward.RowSummary();
-  slab->subject_count = slab->forward_summary.Count();
-  slab->object_count = slab->backward_summary.Count();
-  // Columns of F_p are objects and columns of B_p are subjects, so the
-  // empty-column counts fall out of the summary counts for free — no
-  // extra O(nnz) pass.
-  slab->empty_forward_cols = n - slab->object_count;
-  slab->empty_backward_cols = n - slab->subject_count;
   return slab;
 }
 
@@ -298,18 +288,19 @@ bool GraphDatabase::SlabMatches(
     const PredicateSlab& slab,
     const std::vector<std::pair<uint32_t, uint32_t>>& entries) {
   if (slab.forward.Nnz() != entries.size()) return false;
-  // Lockstep walk: the matrix streams its triples in ascending
-  // (subject, object) order, which is exactly the order of the sorted,
-  // deduplicated entry list.
+  // Each run of equal subjects in the sorted, deduplicated list must be
+  // exactly that subject's row. With equal nnz, matching every run proves
+  // the matrix holds nothing else.
   size_t pos = 0;
-  const auto rows = slab.forward.NonEmptyRows();
-  for (size_t slot = 0; slot < rows.size(); ++slot) {
-    for (uint32_t o : slab.forward.RowBySlot(slot)) {
-      if (entries[pos].first != rows[slot] || entries[pos].second != o) {
+  while (pos < entries.size()) {
+    const uint32_t s = entries[pos].first;
+    for (uint32_t o : slab.forward.Row(s)) {
+      if (pos == entries.size() || entries[pos] != std::pair{s, o}) {
         return false;
       }
       ++pos;
     }
+    if (pos < entries.size() && entries[pos].first == s) return false;
   }
   return true;
 }
@@ -492,10 +483,10 @@ size_t GraphDatabase::GapEncodedMatrixBytes() const {
   size_t total = 0;
   size_t n = NumNodes();
   for (const auto& slot : slots_) {
-    const util::BitMatrix& m = slot->Get().forward;
-    for (uint32_t r : m.NonEmptyRows()) {
-      total += util::GapCodec::EncodedSizeFromIndices(m.Row(r), n);
-    }
+    slot->Get().forward.ForEachRow(
+        [&](uint32_t, std::span<const uint32_t> row) {
+          total += util::GapCodec::EncodedSizeFromIndices(row, n);
+        });
   }
   return total;
 }

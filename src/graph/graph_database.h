@@ -96,19 +96,21 @@ class GraphDatabaseBuilder {
 
 /// An immutable graph database DB = (O_DB, Sigma, E_DB): dictionary-encoded
 /// nodes/predicates plus, per predicate a, the forward adjacency matrix F_a
-/// and its transpose B_a in compressed sparse form, with the summary
-/// vectors f^a / b^a of Eq. (13) precomputed.
+/// and its transpose B_a in compressed sparse form. The summary vectors
+/// f^a / b^a of Eq. (13) are the matrices' row-presence bitmaps
+/// (BitMatrix::RowSummary), not separate copies.
 ///
 /// The per-label matrix pair is exactly what Sect. 3.2 of the paper needs:
 /// row-wise products read F_a (or B_a), and the column-wise evaluation
 /// strategy reads the respective transpose's rows.
 ///
-/// Storage is copy-on-write per predicate: all per-label state (matrix
-/// pair, summaries, cardinalities) lives in one refcounted immutable slab,
-/// and copying a GraphDatabase copies slot pointers, not matrices. That
-/// makes Snapshot() O(predicates), and lets Restrict()/WithTriplesAdded()
-/// produce the next version of an evolving database while readers keep
-/// solving against the old one — the MVCC substrate of sim::QueryService.
+/// Storage is copy-on-write per predicate: all per-label state (the matrix
+/// pair, which carries summaries and cardinalities) lives in one refcounted
+/// immutable slab, and copying a GraphDatabase copies slot pointers, not
+/// matrices. That makes Snapshot() O(predicates), and lets
+/// Restrict()/WithTriplesAdded() produce the next version of an evolving
+/// database while readers keep solving against the old one — the MVCC
+/// substrate of sim::QueryService.
 ///
 /// Out-of-core tier: a database opened from a SQSIMDB2 file (BinaryIo)
 /// interposes an OutOfCoreBacking behind the slot pointers — a predicate's
@@ -124,12 +126,6 @@ class GraphDatabase {
   struct PredicateSlab {
     util::BitMatrix forward;
     util::BitMatrix backward;
-    util::BitVector forward_summary;
-    util::BitVector backward_summary;
-    size_t subject_count = 0;
-    size_t object_count = 0;
-    size_t empty_forward_cols = 0;
-    size_t empty_backward_cols = 0;
   };
 
   /// One predicate's storage indirection. Eager slots (the in-memory
@@ -208,13 +204,15 @@ class GraphDatabase {
     return slots_[p]->Get().backward;
   }
 
-  /// f^p: bit v set iff v has an outgoing p-edge (Eq. 13).
+  /// f^p: bit v set iff v has an outgoing p-edge (Eq. 13); the row
+  /// presence bitmap of F_p.
   const util::BitVector& ForwardSummary(uint32_t p) const {
-    return slots_[p]->Get().forward_summary;
+    return slots_[p]->Get().forward.RowSummary();
   }
-  /// b^p: bit v set iff v has an incoming p-edge (Eq. 13).
+  /// b^p: bit v set iff v has an incoming p-edge (Eq. 13); the row
+  /// presence bitmap of B_p.
   const util::BitVector& BackwardSummary(uint32_t p) const {
-    return slots_[p]->Get().backward_summary;
+    return slots_[p]->Get().backward.RowSummary();
   }
 
   /// Number of triples with predicate p (basic statistic for join ordering
@@ -222,36 +220,33 @@ class GraphDatabase {
   /// materializes a lazy predicate.
   size_t PredicateCardinality(uint32_t p) const { return slots_[p]->nnz; }
   size_t DistinctSubjects(uint32_t p) const {
-    return slots_[p]->Get().subject_count;
+    return slots_[p]->Get().forward.NumNonEmptyRows();
   }
   size_t DistinctObjects(uint32_t p) const {
-    return slots_[p]->Get().object_count;
+    return slots_[p]->Get().backward.NumNonEmptyRows();
   }
 
-  /// Number of all-zero columns of F_p / B_p, precomputed at build time.
-  /// The solver's order-by-sparsity heuristic (Sect. 3.3: inequalities
-  /// whose matrix has many empty columns prune hardest) reads these
-  /// instead of paying BitMatrix::CountEmptyColumns' O(nnz) ColSummary
-  /// pass on every solve.
+  /// Number of all-zero columns of F_p / B_p in O(1): the columns of F_p
+  /// are the rows of B_p and vice versa. The solver's order-by-sparsity
+  /// heuristic (Sect. 3.3: inequalities whose matrix has many empty
+  /// columns prune hardest) reads these instead of paying
+  /// BitMatrix::CountEmptyColumns' O(nnz) ColSummary pass on every solve.
   size_t EmptyForwardColumns(uint32_t p) const {
-    return slots_[p]->Get().empty_forward_cols;
+    return NumNodes() - DistinctObjects(p);
   }
   size_t EmptyBackwardColumns(uint32_t p) const {
-    return slots_[p]->Get().empty_backward_cols;
+    return NumNodes() - DistinctSubjects(p);
   }
 
   /// Calls fn(subject, object) for every triple with predicate p, in
-  /// ascending (subject, object) order. Walks only the non-empty rows of
-  /// F_p — O(distinct subjects + nnz), independent of the node-universe
-  /// size, which keeps Restrict()/AllTriples() cheap for the tiny
-  /// predicates real datasets are full of.
+  /// ascending (subject, object) order. Walks F_p's row-presence bitmap:
+  /// O(nodes/64 + nnz).
   template <typename Fn>
   void ForEachTriple(uint32_t p, Fn&& fn) const {
-    const util::BitMatrix& m = slots_[p]->Get().forward;
-    const auto rows = m.NonEmptyRows();
-    for (size_t slot = 0; slot < rows.size(); ++slot) {
-      for (uint32_t o : m.RowBySlot(slot)) fn(rows[slot], o);
-    }
+    slots_[p]->Get().forward.ForEachRow(
+        [&](uint32_t s, std::span<const uint32_t> row) {
+          for (uint32_t o : row) fn(s, o);
+        });
   }
 
   /// Calls fn(Triple) for every triple, grouped by predicate.
@@ -432,7 +427,7 @@ class OutOfCoreBacking {
       uint32_t p) const = 0;
 
   /// Forwarder so concrete backings can assemble slabs through the one
-  /// canonical builder (summaries, counts, empty-column derivation).
+  /// canonical builder.
   static std::shared_ptr<const Slab> BuildSlab(
       size_t n, std::vector<std::pair<uint32_t, uint32_t>>&& entries) {
     return GraphDatabase::BuildSlab(n, std::move(entries));

@@ -35,16 +35,16 @@ Solution HhkDualSimulation(
     if (edges[e].label == kEmptyPredicate) continue;
     const util::BitMatrix& fwd = db.Forward(edges[e].label);
     const util::BitMatrix& bwd = db.Backward(edges[e].label);
-    for (uint32_t x : fwd.NonEmptyRows()) {
+    fwd.ForEachRow([&](uint32_t x, std::span<const uint32_t> row) {
       uint32_t count = 0;
-      for (uint32_t y : fwd.Row(x)) count += sim[edges[e].to].Test(y) ? 1 : 0;
+      for (uint32_t y : row) count += sim[edges[e].to].Test(y) ? 1 : 0;
       cnt_fwd[e][x] = count;
-    }
-    for (uint32_t y : bwd.NonEmptyRows()) {
+    });
+    bwd.ForEachRow([&](uint32_t y, std::span<const uint32_t> row) {
       uint32_t count = 0;
-      for (uint32_t x : bwd.Row(y)) count += sim[edges[e].from].Test(x) ? 1 : 0;
+      for (uint32_t x : row) count += sim[edges[e].from].Test(x) ? 1 : 0;
       cnt_bwd[e][y] = count;
-    }
+    });
   }
 
   // Pattern-edge adjacency: which edges read a given pattern node.

@@ -93,6 +93,7 @@ std::future<PruneReport> QueryService::Submit(const sparql::Query& query,
     return future;
   }
 
+  std::shared_ptr<const SnapshotContext> context;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     ++submitted_;
@@ -102,7 +103,27 @@ std::future<PruneReport> QueryService::Submit(const sparql::Query& query,
       it->second->waiters.push_back(std::move(promise));
       return future;
     }
+    context = current_;
   }
+
+  // A query whose solutions are all cached needs no solve, only triple
+  // extraction, so the submitting thread answers it. On a worker it would
+  // cost two thread wake-ups for well under a millisecond of work, and on a
+  // loaded host those wake-ups, not the work, would set the rate of hits.
+  if (context->engine.SolutionsCached(query)) {
+    PruneReport report = context->engine.Prune(query);
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      ++executed_;
+      context.reset();
+      SweepSnapshotsLocked();
+    }
+    promise.set_value(std::move(report));
+    return future;
+  }
+  // Unpinned while waiting for a slot: a blocked producer must not keep a
+  // retired snapshot (and its cache generation) alive.
+  context.reset();
 
   // New work: take an admission slot. This is the backpressure point — it
   // blocks while queue_depth queries are in flight, and must happen outside
@@ -110,7 +131,6 @@ std::future<PruneReport> QueryService::Submit(const sparql::Query& query,
   gate_.Acquire(submit.priority);
 
   auto owned = std::make_shared<const sparql::Query>(query.Clone());
-  std::shared_ptr<const SnapshotContext> context;
   std::string full_key;
   {
     std::lock_guard<std::mutex> lock(mutex_);

@@ -80,8 +80,11 @@ struct SubmitOptions {
 /// patterns are canonically equal, admitted against the same snapshot,
 /// share one solve while the first is in flight, and every waiter receives
 /// the full PruneReport. After the in-flight entry completes, the next
-/// identical submission admits a fresh solve — which then typically ends in
-/// the SoiCache's solution layer instead of solver work.
+/// identical submission finds its solution in the SoiCache. A submission
+/// whose every union-free branch has a cached solution skips the admission
+/// queue and the pool: Submit extracts its triples on the calling thread
+/// and returns a ready future (so SubmitBatch runs such hits one after
+/// another). Everything else is admitted and solved on a worker.
 ///
 /// MVCC serving: the service owns an evolving chain of immutable database
 /// snapshots (graph::GraphDatabase::Snapshot(), copy-on-write per-predicate
@@ -114,7 +117,8 @@ class QueryService {
   struct Stats {
     /// Submissions accepted (Submit calls; SubmitBatch counts each query).
     size_t submitted = 0;
-    /// Queries actually solved on a worker.
+    /// Queries run by the service: solved on a worker, or answered from
+    /// the solution cache on the submitting thread.
     size_t executed = 0;
     /// Submissions answered by attaching to an in-flight duplicate.
     /// submitted == executed + coalesced once drained.

@@ -44,8 +44,7 @@ SimEngine::BranchOutcome SimEngine::ProcessBranch(
   // lookups carry the SOI instance), but without the SOI layer there is no
   // instance to pair against. Truncated runs (max_rounds != 0) are not the
   // canonical fixpoint and also bypass the layer.
-  const bool cache_solutions = cache_sois && options_.cache_solutions &&
-                               options_.max_rounds == 0;
+  const bool cache_solutions = CachesSolutions();
 
   std::string key;
   if (cache_sois || cache_solutions) {
@@ -100,6 +99,21 @@ SimEngine::BranchOutcome SimEngine::ProcessBranch(
     }
   }
   return out;
+}
+
+bool SimEngine::CachesSolutions() const {
+  return cache_ != nullptr && options_.cache_sois &&
+         options_.cache_solutions && options_.max_rounds == 0;
+}
+
+bool SimEngine::SolutionsCached(const sparql::Query& query) const {
+  if (!CachesSolutions()) return false;
+  const uint64_t generation = db_->generation();
+  for (const auto& branch : sparql::UnionNormalForm(*query.where)) {
+    const std::string key = sparql::CanonicalPatternKey(*branch);
+    if (!cache_->HasSolution(generation, key)) return false;
+  }
+  return true;
 }
 
 Solution SimEngine::SolvePattern(const sparql::Pattern& union_free_pattern,

@@ -135,6 +135,12 @@ class SimEngine {
   PruneReport Prune(const sparql::Query& query,
                     const SolveControl* control = nullptr) const;
 
+  /// True iff the solution of every union-free branch of `query` is cached
+  /// for this database, so Prune(query) only extracts triples (unless an
+  /// entry is evicted before it runs; it then solves as usual). Counts
+  /// nothing in the cache stats.
+  bool SolutionsCached(const sparql::Query& query) const;
+
  private:
   struct BranchOutcome {
     std::shared_ptr<const Soi> soi;
@@ -142,6 +148,9 @@ class SimEngine {
     std::vector<graph::Triple> kept;
     bool solution_from_cache = false;
   };
+
+  /// Whether Prune consults and fills the solution cache.
+  bool CachesSolutions() const;
 
   BranchOutcome ProcessBranch(const sparql::Pattern& branch,
                               bool extract_triples,

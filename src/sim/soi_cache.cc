@@ -116,6 +116,12 @@ std::shared_ptr<const Solution> SoiCache::FindSolution(uint64_t generation,
   return entry->solution;
 }
 
+bool SoiCache::HasSolution(uint64_t generation, const std::string& key) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = entries_.find(MakeKey(generation, key));
+  return it != entries_.end() && it->second.solution != nullptr;
+}
+
 std::shared_ptr<const Solution> SoiCache::InsertSolution(
     uint64_t generation, const std::string& key, const Soi* solved_on,
     Solution solution) {

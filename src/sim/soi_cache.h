@@ -97,6 +97,9 @@ class SoiCache {
   std::shared_ptr<const Solution> FindSolution(uint64_t generation,
                                                const std::string& key,
                                                const Soi* solved_on);
+  /// True iff (generation, key) holds an attached solution. A probe, not a
+  /// lookup: it counts nothing and leaves the recency order alone.
+  bool HasSolution(uint64_t generation, const std::string& key) const;
   /// Attaches `solution` (solved on `solved_on`) to its SOI's entry and
   /// returns the canonical cached value. If the entry is gone or now holds
   /// a different SOI instance, the solution is returned un-cached — never

@@ -16,15 +16,13 @@ namespace {
 /// dirty predicate that did not grow only lost triples, which keeps it on
 /// the pure retraction path (no cone).
 bool ForwardGrew(const util::BitMatrix& next, const util::BitMatrix& prev) {
-  const std::span<const uint32_t> rows = next.NonEmptyRows();
-  for (size_t slot = 0; slot < rows.size(); ++slot) {
-    const std::span<const uint32_t> nrow = next.RowBySlot(slot);
-    const std::span<const uint32_t> prow = prev.Row(rows[slot]);
-    if (!std::includes(prow.begin(), prow.end(), nrow.begin(), nrow.end())) {
-      return true;
-    }
-  }
-  return false;
+  bool grew = false;
+  next.ForEachRow([&](uint32_t r, std::span<const uint32_t> nrow) {
+    const std::span<const uint32_t> prow = prev.Row(r);
+    grew = grew ||
+           !std::includes(prow.begin(), prow.end(), nrow.begin(), nrow.end());
+  });
+  return grew;
 }
 
 }  // namespace

@@ -13,35 +13,31 @@ BitMatrix BitMatrix::Build(size_t rows, size_t cols,
   entries.erase(std::unique(entries.begin(), entries.end()), entries.end());
 
   BitMatrix m(rows, cols);
-  m.row_offsets_.clear();
-  m.cols_index_.reserve(entries.size());
-  for (size_t pos = 0; pos < entries.size();) {
-    uint32_t r = entries[pos].first;
+  for (const auto& [r, c] : entries) {
     assert(r < rows);
-    m.rows_index_.push_back(r);
-    m.row_offsets_.push_back(static_cast<uint32_t>(m.cols_index_.size()));
-    while (pos < entries.size() && entries[pos].first == r) {
-      assert(entries[pos].second < cols);
-      m.cols_index_.push_back(entries[pos].second);
-      ++pos;
-    }
+    assert(c < cols);
+    m.row_presence_.Set(r);
   }
-  m.row_offsets_.push_back(static_cast<uint32_t>(m.cols_index_.size()));
+  uint32_t rank = 0;
+  const uint64_t* presence = m.row_presence_.words();
+  for (size_t w = 0; w < m.row_rank_.size(); ++w) {
+    m.row_rank_[w] = rank;
+    rank += static_cast<uint32_t>(__builtin_popcountll(presence[w]));
+  }
+  // `rank` is now the number of non-empty rows: reserve exactly, so no
+  // push_back slack outlives the build.
+  m.row_offsets_.reserve(rank + 1);
+  m.cols_index_.reserve(entries.size());
+  for (size_t pos = 0; pos < entries.size(); ++pos) {
+    if (pos != 0 && entries[pos].first != entries[pos - 1].first) {
+      m.row_offsets_.push_back(static_cast<uint32_t>(pos));
+    }
+    m.cols_index_.push_back(entries[pos].second);
+  }
+  if (!entries.empty()) {
+    m.row_offsets_.push_back(static_cast<uint32_t>(entries.size()));
+  }
   return m;
-}
-
-int64_t BitMatrix::FindRowSlot(size_t r) const {
-  auto it = std::lower_bound(rows_index_.begin(), rows_index_.end(),
-                             static_cast<uint32_t>(r));
-  if (it == rows_index_.end() || *it != r) return -1;
-  return it - rows_index_.begin();
-}
-
-std::span<const uint32_t> BitMatrix::Row(size_t r) const {
-  int64_t slot = FindRowSlot(r);
-  if (slot < 0) return {};
-  return {cols_index_.data() + row_offsets_[slot],
-          row_offsets_[slot + 1] - row_offsets_[slot]};
 }
 
 bool BitMatrix::Test(size_t r, size_t c) const {
@@ -71,12 +67,6 @@ bool BitMatrix::RowIntersects(size_t r, const BitVector& y) const {
   return false;
 }
 
-BitVector BitMatrix::RowSummary() const {
-  BitVector summary(rows_);
-  for (uint32_t r : rows_index_) summary.Set(r);
-  return summary;
-}
-
 BitVector BitMatrix::ColSummary() const {
   BitVector summary(cols_);
   for (uint32_t c : cols_index_) summary.Set(c);
@@ -86,17 +76,15 @@ BitVector BitMatrix::ColSummary() const {
 BitMatrix BitMatrix::Transposed() const {
   std::vector<std::pair<uint32_t, uint32_t>> entries;
   entries.reserve(Nnz());
-  for (size_t slot = 0; slot < rows_index_.size(); ++slot) {
-    uint32_t r = rows_index_[slot];
-    for (uint32_t i = row_offsets_[slot]; i < row_offsets_[slot + 1]; ++i) {
-      entries.emplace_back(cols_index_[i], r);
-    }
-  }
+  ForEachRow([&](uint32_t r, std::span<const uint32_t> row) {
+    for (uint32_t c : row) entries.emplace_back(c, r);
+  });
   return Build(cols_, rows_, std::move(entries));
 }
 
 size_t BitMatrix::ApproxBytes() const {
-  return rows_index_.size() * sizeof(uint32_t) +
+  return row_presence_.WordCount() * sizeof(uint64_t) +
+         row_rank_.size() * sizeof(uint32_t) +
          row_offsets_.size() * sizeof(uint32_t) +
          cols_index_.size() * sizeof(uint32_t) + sizeof(*this);
 }

@@ -44,8 +44,8 @@ class CountedAccumulator {
   /// the nnz of the selected rows plus clearing the *previous* product's
   /// columns (counts is zero wherever the product bit is clear — a class
   /// invariant — so a full O(cols) wipe is only ever paid on first use).
-  /// `SelT` is BitVector or HierarchicalBitVector (anything with
-  /// ForEachSetBit/Test over row indices); `selected_count` must equal its
+  /// `SelT` is BitVector or HierarchicalBitVector (see
+  /// BitMatrix::ForEachSelectedRow); `selected_count` must equal its
   /// Count() and picks the row walk, like BitMatrix::Multiply.
   template <typename SelT>
   void Rebuild(const BitMatrix& a, const SelT& selected,
@@ -60,17 +60,9 @@ class CountedAccumulator {
     } else {
       WipeLive();
     }
-    // Mirror Multiply's adaptive rule: walk the selection (row lookup
-    // each) when it is small, the non-empty row list (bit test each)
-    // otherwise.
-    const auto rows = a.NonEmptyRows();
-    if (selected_count * 8 < rows.size()) {
-      selected.ForEachSetBit([&](uint32_t r) { AddRow(a.Row(r)); });
-    } else {
-      for (size_t slot = 0; slot < rows.size(); ++slot) {
-        if (selected.Test(rows[slot])) AddRow(a.RowBySlot(slot));
-      }
-    }
+    // Same adaptive row walk as Multiply.
+    a.ForEachSelectedRow(selected, selected_count,
+                         [&](std::span<const uint32_t> row) { AddRow(row); });
   }
 
   /// Removes `removed` rows from the selection: decrements counts along

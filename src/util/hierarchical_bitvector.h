@@ -53,6 +53,8 @@ class HierarchicalBitVector {
   /// The underlying flat vector, for kernels that take a plain BitVector
   /// (copying a mask, RowIntersects, AndNotWith deltas).
   const BitVector& bits() const { return bits_; }
+  /// Raw payload words (BitVector::words() of bits()).
+  const uint64_t* words() const { return bits_.words(); }
 
   /// Moves the flat vector out (the summary is discarded). Used to export
   /// the solved candidate sets into a Solution without copying.

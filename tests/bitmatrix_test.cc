@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -134,18 +137,129 @@ TEST(BitMatrixTest, EmptyMatrix) {
   EXPECT_TRUE(out.None());
 }
 
-TEST(BitMatrixTest, RowBySlotMatchesRowLookup) {
+TEST(BitMatrixTest, ForEachRowMatchesRowLookup) {
   BitMatrix m = BitMatrix::Build(8, 8, {{1, 2}, {1, 5}, {4, 0}, {7, 7}});
-  auto rows = m.NonEmptyRows();
-  ASSERT_EQ(rows.size(), 3u);
-  for (size_t slot = 0; slot < rows.size(); ++slot) {
-    auto by_slot = m.RowBySlot(slot);
-    auto by_id = m.Row(rows[slot]);
-    ASSERT_EQ(by_slot.size(), by_id.size());
-    for (size_t i = 0; i < by_slot.size(); ++i) {
-      EXPECT_EQ(by_slot[i], by_id[i]);
+  std::vector<uint32_t> visited;
+  m.ForEachRow([&](uint32_t r, std::span<const uint32_t> row) {
+    visited.push_back(r);
+    auto by_id = m.Row(r);
+    ASSERT_EQ(row.size(), by_id.size());
+    for (size_t i = 0; i < row.size(); ++i) EXPECT_EQ(row[i], by_id[i]);
+  });
+  EXPECT_EQ(visited, (std::vector<uint32_t>{1, 4, 7}));
+  EXPECT_EQ(m.NumNonEmptyRows(), 3u);
+}
+
+// Rows at or past rows() are empty. The row index is a bitmap, so without
+// the bounds check a lookup would read words past its end; r = 1000 on a
+// 70-row matrix lands 14 words beyond the two-word presence bitmap.
+TEST(BitMatrixTest, OutOfRangeRowsAreEmpty) {
+  BitMatrix m = BitMatrix::Build(70, 70, {{0, 1}, {63, 2}, {64, 3}, {69, 69}});
+  BitVector all(70, true);
+  for (size_t r : {size_t{70}, size_t{127}, size_t{128}, size_t{1000},
+                   size_t{1} << 31}) {
+    EXPECT_TRUE(m.Row(r).empty()) << r;
+    EXPECT_FALSE(m.RowAny(r)) << r;
+    EXPECT_FALSE(m.Test(r, 1)) << r;
+    EXPECT_FALSE(m.RowIntersects(r, all)) << r;
+  }
+  BitMatrix empty(5, 5);
+  EXPECT_TRUE(empty.Row(5).empty());
+  EXPECT_TRUE(empty.Row(200).empty());
+  BitMatrix none;
+  EXPECT_TRUE(none.Row(0).empty());
+  EXPECT_EQ(none.NumNonEmptyRows(), 0u);
+}
+
+// Every read path against a std::map reference, on shapes that stress the
+// rank index: rows not a multiple of 64, rows 63/64/rows-1 populated, and
+// both the sparse (set-bit) and dense (word AND) product walks.
+TEST(BitMatrixTest, RandomizedAgainstMapReference) {
+  Rng rng(9021);
+  for (int trial = 0; trial < 40; ++trial) {
+    const size_t rows = 65 + rng.NextBounded(400);
+    const size_t cols = 1 + rng.NextBounded(300);
+    std::map<uint32_t, std::set<uint32_t>> ref;
+    std::vector<std::pair<uint32_t, uint32_t>> entries;
+    const size_t nnz = rng.NextBounded(trial % 4 == 0 ? 8 : 3 * rows);
+    auto add = [&](uint32_t r, uint32_t c) {
+      entries.emplace_back(r, c);
+      ref[r].insert(c);
+    };
+    for (size_t i = 0; i < nnz; ++i) {
+      add(static_cast<uint32_t>(rng.NextBounded(rows)),
+          static_cast<uint32_t>(rng.NextBounded(cols)));
+    }
+    for (uint32_t r : {uint32_t{63}, uint32_t{64},
+                       static_cast<uint32_t>(rows - 1)}) {
+      if (rng.NextBool(0.7)) add(r, static_cast<uint32_t>(rng.NextBounded(cols)));
+    }
+    BitMatrix m = BitMatrix::Build(rows, cols, std::move(entries));
+
+    size_t expected_nnz = 0;
+    BitVector expected_presence(rows);
+    for (const auto& [r, cs] : ref) {
+      expected_nnz += cs.size();
+      expected_presence.Set(r);
+    }
+    ASSERT_EQ(m.Nnz(), expected_nnz);
+    ASSERT_EQ(m.NumNonEmptyRows(), ref.size());
+    ASSERT_EQ(m.RowSummary(), expected_presence);
+
+    BitVector y(cols);
+    for (size_t c = 0; c < cols; ++c) {
+      if (rng.NextBool(0.1)) y.Set(c);
+    }
+    for (size_t r = 0; r < rows; ++r) {
+      auto it = ref.find(static_cast<uint32_t>(r));
+      const std::vector<uint32_t> want =
+          it == ref.end() ? std::vector<uint32_t>{}
+                          : std::vector<uint32_t>(it->second.begin(),
+                                                  it->second.end());
+      auto row = m.Row(r);
+      ASSERT_EQ(std::vector<uint32_t>(row.begin(), row.end()), want)
+          << "trial " << trial << " row " << r;
+      bool intersects = false;
+      for (uint32_t c : want) intersects = intersects || y.Test(c);
+      EXPECT_EQ(m.RowIntersects(r, y), intersects);
+      const uint32_t probe = static_cast<uint32_t>(rng.NextBounded(cols));
+      EXPECT_EQ(m.Test(r, probe), it != ref.end() && it->second.count(probe));
+      for (uint32_t c : want) EXPECT_TRUE(m.Test(r, c));
+    }
+
+    // Selection densities from empty to full cover both product walks.
+    for (double density : {0.0, 0.005, 0.05, 0.5, 1.0}) {
+      BitVector x(rows);
+      for (size_t r = 0; r < rows; ++r) {
+        if (rng.NextBool(density)) x.Set(r);
+      }
+      BitVector expected(cols);
+      for (const auto& [r, cs] : ref) {
+        if (!x.Test(r)) continue;
+        for (uint32_t c : cs) expected.Set(c);
+      }
+      BitVector out(cols, true);
+      m.Multiply(x, &out);
+      EXPECT_EQ(out, expected) << "trial " << trial << " density " << density;
+      BitVector viah(cols, true);
+      m.Multiply(HierarchicalBitVector(x), x.Count(), &viah);
+      EXPECT_EQ(viah, expected) << "trial " << trial << " density " << density;
     }
   }
+
+  BitMatrix empty(130, 7);
+  EXPECT_EQ(empty.Nnz(), 0u);
+  EXPECT_EQ(empty.NumNonEmptyRows(), 0u);
+  EXPECT_EQ(empty.RowSummary(), BitVector(130));
+  for (size_t r : {size_t{0}, size_t{63}, size_t{64}, size_t{129}}) {
+    EXPECT_TRUE(empty.Row(r).empty());
+    EXPECT_FALSE(empty.RowIntersects(r, BitVector(7, true)));
+  }
+  BitVector out(7, true);
+  empty.Multiply(BitVector(130, true), &out);
+  EXPECT_TRUE(out.None());
+  empty.Multiply(HierarchicalBitVector(130, true), 130, &out);
+  EXPECT_TRUE(out.None());
 }
 
 TEST(BitMatrixTest, HierarchicalMultiplyMatchesPlain) {

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <sstream>
 #include <string>
 
+#include "datagen/random_graphs.h"
+#include "graph/binary_io.h"
 #include "graph/dictionary.h"
 #include "graph/graph.h"
 #include "graph/ntriples.h"
@@ -195,6 +198,63 @@ TEST(GraphDatabaseTest, MemoryReports) {
   GraphDatabase db = std::move(b).Build();
   EXPECT_GT(db.ApproxMatrixBytes(), 0u);
   EXPECT_GT(db.GapEncodedMatrixBytes(), 0u);
+}
+
+// f^p / b^p of Eq. (13) are the matrices' row-presence bitmaps: they must
+// name exactly the subjects / objects that have a p-triple, through every
+// way a database version comes about.
+void ExpectSummariesMatchTriples(const GraphDatabase& db,
+                                 const std::string& context) {
+  for (uint32_t p = 0; p < db.NumPredicates(); ++p) {
+    util::BitVector subjects(db.NumNodes());
+    util::BitVector objects(db.NumNodes());
+    db.ForEachTriple(p, [&](uint32_t s, uint32_t o) {
+      subjects.Set(s);
+      objects.Set(o);
+    });
+    EXPECT_EQ(db.ForwardSummary(p), subjects) << context << " p=" << p;
+    EXPECT_EQ(db.BackwardSummary(p), objects) << context << " p=" << p;
+    EXPECT_EQ(db.DistinctSubjects(p), subjects.Count()) << context;
+    EXPECT_EQ(db.DistinctObjects(p), objects.Count()) << context;
+    EXPECT_EQ(db.EmptyForwardColumns(p), db.NumNodes() - objects.Count());
+    EXPECT_EQ(db.EmptyBackwardColumns(p), db.NumNodes() - subjects.Count());
+  }
+}
+
+TEST(GraphDatabaseTest, SummariesTrackTriplesAcrossVersions) {
+  datagen::RandomGraphConfig config;
+  config.num_nodes = 150;  // not a multiple of 64
+  config.num_edges = 400;
+  config.num_labels = 4;
+  config.seed = 23;
+  GraphDatabase db = datagen::MakeRandomDatabase(config);
+  ExpectSummariesMatchTriples(db, "built");
+
+  // Add triples on the word boundary rows, then remove a third of all.
+  std::vector<Triple> added;
+  for (uint32_t node : {0u, 63u, 64u, 127u, 128u, 149u}) {
+    added.push_back({node, 1, static_cast<uint32_t>(149 - node)});
+  }
+  GraphDatabase grown = db.WithTriplesAdded(added);
+  ExpectSummariesMatchTriples(grown, "added");
+
+  std::vector<Triple> all = grown.AllTriples();
+  std::vector<Triple> removed;
+  for (size_t i = 0; i < all.size(); i += 3) removed.push_back(all[i]);
+  GraphDatabase shrunk = grown.WithTriplesRemoved(removed);
+  ASSERT_EQ(shrunk.NumTriples(), all.size() - removed.size());
+  ExpectSummariesMatchTriples(shrunk, "removed");
+
+  const std::string path = "/tmp/sparqlsim_graph_test_summaries.gdb";
+  ASSERT_TRUE(BinaryIo::SaveV2File(shrunk, path).ok());
+  auto loaded = BinaryIo::LoadFile(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.error_message();
+  ExpectSummariesMatchTriples(loaded.value(), "loaded");
+  for (uint32_t p = 0; p < shrunk.NumPredicates(); ++p) {
+    EXPECT_EQ(loaded.value().ForwardSummary(p), shrunk.ForwardSummary(p));
+    EXPECT_EQ(loaded.value().BackwardSummary(p), shrunk.BackwardSummary(p));
+  }
+  std::remove(path.c_str());
 }
 
 TEST(NTriplesTest, ParseBasicLines) {

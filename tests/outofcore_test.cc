@@ -219,6 +219,29 @@ TEST(OutOfCoreLazinessTest, QueriesOnlyMaterializeTouchedPredicates) {
   EXPECT_LT(resident, static_cast<size_t>(db.NumPredicates()));
 }
 
+// The resident budget counts a slab as exactly its two matrices: the
+// Eq. (13) summaries are the matrices' presence bitmaps, already inside
+// ApproxBytes, not extra copies.
+TEST(OutOfCoreLazinessTest, ResidentBytesAreTheMatricesApproxBytes) {
+  datagen::RandomGraphConfig config;
+  config.num_nodes = 300;
+  config.num_edges = 1200;
+  config.num_labels = 4;
+  config.seed = 5;
+  GraphDatabase built = datagen::MakeRandomDatabase(config);
+  auto [v1_path, v2_path] = WriteBothFormats(built, "slabbytes");
+  (void)v1_path;
+
+  GraphDatabase db = OpenOrDie(v2_path);
+  ASSERT_EQ(db.backing_stats().resident_bytes, 0u);
+  size_t expected = 0;
+  for (uint32_t p = 0; p < db.NumPredicates(); ++p) {
+    expected += db.Forward(p).ApproxBytes() + db.Backward(p).ApproxBytes();
+    EXPECT_EQ(db.backing_stats().resident_bytes, expected) << "p=" << p;
+  }
+  EXPECT_EQ(db.ApproxMatrixBytes(), expected);
+}
+
 // Restrict after a lazy prune settles every predicate from slot metadata or
 // from the slabs the query already faulted in, so it decodes nothing new —
 // not the predicates the query never read, and not a predicate with no

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <future>
 #include <memory>
 #include <string>
@@ -281,6 +282,74 @@ TEST(QueryServiceTest, CompletedQueryAdmitsAFreshSolveAndHitsTheCache) {
   EXPECT_EQ(stats.executed, 2u);
   EXPECT_EQ(stats.coalesced, 0u);
   EXPECT_GE(stats.cache.solution_hits, 1u);
+}
+
+TEST(QueryServiceTest, FullyCachedQueryIsAnsweredOnTheSubmittingThread) {
+  graph::GraphDatabase db = datagen::MakeRandomDatabase({});
+  std::vector<sparql::Query> pool = MakeQueryPool(5, 2, 50);
+  const sparql::Query& blocker = pool[0];
+  const sparql::Query& cached = pool[1];
+  ASSERT_NE(sparql::CanonicalPatternKey(*blocker.where),
+            sparql::CanonicalPatternKey(*cached.where));
+
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::atomic<bool> hold{false};
+  std::atomic<size_t> solves{0};
+
+  QueryServiceOptions options;
+  options.num_workers = 1;
+  options.queue_depth = 2;
+  options.solve_hook = [&, released] {
+    solves.fetch_add(1);
+    if (hold.load()) released.wait();
+  };
+  QueryService service(&db, options);
+  const PruneReport first = service.Submit(cached).get();
+  service.Drain();
+  ASSERT_EQ(solves.load(), 1u);
+
+  // Park the only worker: a submission that needs it waits in the queue.
+  hold.store(true);
+  std::future<PruneReport> parked = service.Submit(blocker);
+  std::future<PruneReport> hit = service.Submit(cached);
+  const bool answered_at_once =
+      hit.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
+  release.set_value();
+  EXPECT_TRUE(answered_at_once);
+  ExpectReportsEqual(hit.get(), first, "cached resubmission");
+  parked.get();
+  service.Drain();
+  QueryService::Stats stats = service.stats();
+  EXPECT_EQ(solves.load(), 2u);
+  EXPECT_EQ(stats.submitted, 3u);
+  EXPECT_EQ(stats.executed, 3u);
+  EXPECT_EQ(stats.coalesced, 0u);
+  EXPECT_EQ(stats.peak_in_flight, 1u);
+  EXPECT_GE(stats.cache.solution_hits, 1u);
+}
+
+TEST(QueryServiceTest, SolutionsCachedProbeCountsNothing) {
+  graph::GraphDatabase db = datagen::MakeRandomDatabase({});
+  const sparql::Query query = std::move(MakeQueryPool(8, 1, 50)[0]);
+
+  SimEngine engine(&db);
+  EXPECT_FALSE(engine.SolutionsCached(query));
+  const PruneReport report = engine.Prune(query);
+  const SoiCache::Stats before = engine.cache()->stats();
+  EXPECT_TRUE(engine.SolutionsCached(query));
+  const SoiCache::Stats after = engine.cache()->stats();
+  EXPECT_EQ(after.soi_hits, before.soi_hits);
+  EXPECT_EQ(after.soi_misses, before.soi_misses);
+  EXPECT_EQ(after.solution_hits, before.solution_hits);
+  EXPECT_EQ(after.solution_misses, before.solution_misses);
+  ExpectReportsEqual(engine.Prune(query), report, "cached prune");
+
+  SolverOptions no_solutions;
+  no_solutions.cache_solutions = false;
+  SimEngine uncached(&db, no_solutions);
+  uncached.Prune(query);
+  EXPECT_FALSE(uncached.SolutionsCached(query));
 }
 
 TEST(QueryServiceTest, DestructorDrainsOutstandingFutures) {
