@@ -1,21 +1,21 @@
 // Ablation of the Sect. 3.3 solver strategies on representative queries:
 //   * Eq. (13) summary initialization vs plain Eq. (12),
 //   * sparsity-first inequality ordering on/off,
-//   * row-wise vs column-wise vs dynamic product evaluation,
-//   * delta-driven incremental evaluation on/off (counted accumulators +
-//     hierarchical zero-block skipping vs full re-evaluation each round).
+//   * row-wise vs column-wise vs dynamic product evaluation.
 // The paper's observation: no single heuristic fits all inputs, but the
-// dynamic default is never far from the best. The incremental pair is the
-// headline comparison of this bench: identical fixpoint trajectory
-// (rounds/updates are asserted equal) at lower wall-clock.
+// dynamic default is never far from the best. Each variant is timed
+// SPARQLSIM_BENCH_REPS times and reported as the median with its
+// quartiles, so one run can tell a real gap from noise.
 //
 // `--db file.gdb` (or SPARQLSIM_DB) runs the LUBM query set against a real
 // ingested database instead of the synthetic generators.
 // SPARQLSIM_BENCH_JSON=<path> archives every variant row as JSON;
 // tools/run_benches.sh folds that into the repo-root BENCH_summary.json.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -32,39 +32,58 @@ struct Variant {
 
 std::vector<Variant> Variants() {
   std::vector<Variant> variants;
-  auto make = [](bool summary, bool order, sim::SolverOptions::EvalMode mode,
-                 bool incremental) {
+  auto make = [](bool summary, bool order, sim::SolverOptions::EvalMode mode) {
     sim::SolverOptions o;
     o.summary_init = summary;
     o.order_by_sparsity = order;
     o.eval_mode = mode;
-    o.incremental_eval = incremental;
     return o;
   };
   using Mode = sim::SolverOptions::EvalMode;
-  variants.push_back(
-      {"default(13+order+dyn+inc)", make(true, true, Mode::kDynamic, true)});
-  variants.push_back(
-      {"no-incremental", make(true, true, Mode::kDynamic, false)});
-  variants.push_back({"init12", make(false, true, Mode::kDynamic, true)});
-  variants.push_back({"no-order", make(true, false, Mode::kDynamic, true)});
-  variants.push_back({"row-only", make(true, true, Mode::kRowWise, true)});
-  variants.push_back({"col-only", make(true, true, Mode::kColumnWise, true)});
-  variants.push_back(
-      {"naive(12,noord,row,noinc)", make(false, false, Mode::kRowWise, false)});
+  variants.push_back({"default(13+order+dyn)", make(true, true, Mode::kDynamic)});
+  variants.push_back({"init12", make(false, true, Mode::kDynamic)});
+  variants.push_back({"no-order", make(true, false, Mode::kDynamic)});
+  variants.push_back({"row-only", make(true, true, Mode::kRowWise)});
+  variants.push_back({"col-only", make(true, true, Mode::kColumnWise)});
+  variants.push_back({"naive(12,noord,row)", make(false, false, Mode::kRowWise)});
   return variants;
+}
+
+/// Quartiles of per-run seconds (linear interpolation between ranks).
+struct Spread {
+  double p25 = 0;
+  double p50 = 0;
+  double p75 = 0;
+};
+
+/// Runs fn SPARQLSIM_BENCH_REPS times (at least once), timing each run.
+Spread TimeSpread(const std::function<void()>& fn) {
+  const size_t reps =
+      std::max<size_t>(1, bench::EnvSize("SPARQLSIM_BENCH_REPS", 3));
+  std::vector<double> seconds(reps);
+  for (double& s : seconds) {
+    util::Stopwatch watch;
+    fn();
+    s = watch.ElapsedSeconds();
+  }
+  std::sort(seconds.begin(), seconds.end());
+  auto quantile = [&](double q) {
+    const double pos = q * static_cast<double>(reps - 1);
+    const size_t lo = static_cast<size_t>(pos);
+    const size_t hi = std::min(lo + 1, reps - 1);
+    return seconds[lo] +
+           (pos - static_cast<double>(lo)) * (seconds[hi] - seconds[lo]);
+  };
+  return {quantile(0.25), quantile(0.5), quantile(0.75)};
 }
 
 struct VariantRow {
   std::string name;
-  double seconds = 0;
+  Spread seconds;
   size_t rounds = 0;
   size_t updates = 0;
   size_t row_evals = 0;
   size_t col_evals = 0;
-  size_t delta_evals = 0;
-  size_t full_evals = 0;
-  size_t cols_cleared = 0;
   size_t blocks_skipped = 0;
 };
 
@@ -81,63 +100,33 @@ QueryResult RunQuery(const char* id, const graph::GraphDatabase& db,
   QueryResult result;
   result.id = id;
   std::printf("\n%s:\n", id);
-  std::printf("  %-26s %12s %7s %8s %9s %9s %10s %11s\n", "variant", "time(s)",
-              "rounds", "updates", "row-ev", "col-ev", "delta-ev",
-              "cols-clr");
+  std::printf("  %-22s %10s %10s %10s %7s %8s %9s %9s\n", "variant",
+              "p25(s)", "p50(s)", "p75(s)", "rounds", "updates", "row-ev",
+              "col-ev");
   for (const Variant& v : Variants()) {
     // Time the solve itself (SOI construction + fixpoint): that is the
     // path every one of these knobs ablates. Triple extraction is
     // identical across variants and would only dilute the comparison.
     sim::Solution solution;
-    double seconds = bench::TimeAverage(
-        [&] { solution = processor.Solve(*query.where, v.options); });
     VariantRow row;
     row.name = v.name;
-    row.seconds = seconds;
+    row.seconds = TimeSpread(
+        [&] { solution = processor.Solve(*query.where, v.options); });
     row.rounds = solution.stats.rounds;
     row.updates = solution.stats.updates;
     row.row_evals = solution.stats.row_evals;
     row.col_evals = solution.stats.col_evals;
-    row.delta_evals = solution.stats.delta_evals;
-    row.full_evals = solution.stats.full_evals;
-    row.cols_cleared = solution.stats.cols_cleared;
     row.blocks_skipped = solution.stats.blocks_skipped;
     result.rows.push_back(row);
-    std::printf("  %-26s %12.5f %7zu %8zu %9zu %9zu %10zu %11zu\n", v.name,
-                seconds, row.rounds, row.updates, row.row_evals, row.col_evals,
-                row.delta_evals, row.cols_cleared);
-  }
-
-  // The incremental pair must walk the exact same fixpoint trajectory —
-  // a divergence here means the delta path changed results, which the
-  // differential suite (solver_incremental_test) forbids.
-  const VariantRow& inc_on = result.rows[0];
-  const VariantRow& inc_off = result.rows[1];
-  if (inc_on.rounds != inc_off.rounds || inc_on.updates != inc_off.updates) {
-    std::fprintf(stderr,
-                 "FATAL: incremental on/off trajectory diverged on %s "
-                 "(rounds %zu vs %zu, updates %zu vs %zu)\n",
-                 id, inc_on.rounds, inc_off.rounds, inc_on.updates,
-                 inc_off.updates);
-    std::abort();
+    std::printf("  %-22s %10.5f %10.5f %10.5f %7zu %8zu %9zu %9zu\n", v.name,
+                row.seconds.p25, row.seconds.p50, row.seconds.p75, row.rounds,
+                row.updates, row.row_evals, row.col_evals);
   }
   return result;
 }
 
 void WriteJson(const std::vector<QueryResult>& results, FILE* out) {
   std::fprintf(out, "{\n  \"bench\": \"ablation\",\n");
-  // Headline aggregate: wall-clock of the default (incremental) variant
-  // vs the same configuration with incremental evaluation off.
-  double on_total = 0, off_total = 0;
-  for (const QueryResult& q : results) {
-    on_total += q.rows[0].seconds;
-    off_total += q.rows[1].seconds;
-  }
-  std::fprintf(out,
-               "  \"incremental\": {\"seconds_on\": %.6f, \"seconds_off\": "
-               "%.6f, \"speedup\": %.3f},\n",
-               on_total, off_total,
-               on_total > 0 ? off_total / on_total : 0.0);
   std::fprintf(out, "  \"queries\": [\n");
   for (size_t i = 0; i < results.size(); ++i) {
     const QueryResult& q = results[i];
@@ -145,13 +134,14 @@ void WriteJson(const std::vector<QueryResult>& results, FILE* out) {
     for (size_t j = 0; j < q.rows.size(); ++j) {
       const VariantRow& r = q.rows[j];
       std::fprintf(out,
-                   "      {\"name\": \"%s\", \"seconds\": %.6f, \"rounds\": "
-                   "%zu, \"updates\": %zu, \"row_evals\": %zu, \"col_evals\": "
-                   "%zu, \"delta_evals\": %zu, \"full_evals\": %zu, "
-                   "\"cols_cleared\": %zu, \"blocks_skipped\": %zu}%s\n",
-                   r.name.c_str(), r.seconds, r.rounds, r.updates, r.row_evals,
-                   r.col_evals, r.delta_evals, r.full_evals, r.cols_cleared,
-                   r.blocks_skipped, j + 1 == q.rows.size() ? "" : ",");
+                   "      {\"name\": \"%s\", \"p25\": %.6f, \"p50\": %.6f, "
+                   "\"p75\": %.6f, \"rounds\": %zu, \"updates\": %zu, "
+                   "\"row_evals\": %zu, \"col_evals\": %zu, "
+                   "\"blocks_skipped\": %zu}%s\n",
+                   r.name.c_str(), r.seconds.p25, r.seconds.p50,
+                   r.seconds.p75, r.rounds, r.updates, r.row_evals,
+                   r.col_evals, r.blocks_skipped,
+                   j + 1 == q.rows.size() ? "" : ",");
     }
     std::fprintf(out, "    ]}%s\n", i + 1 == results.size() ? "" : ",");
   }
@@ -159,13 +149,12 @@ void WriteJson(const std::vector<QueryResult>& results, FILE* out) {
 }
 
 int Run(int argc, char** argv) {
-  std::printf("Solver strategy ablation (Sect. 3.3 + incremental eval)\n");
+  std::printf("Solver strategy ablation (Sect. 3.3)\n");
   std::vector<QueryResult> results;
 
   // Low-selectivity cyclic pattern over the LUBM vocabulary whose
   // candidate sets erode gradually over many rounds — the iterative
-  // regime (the paper's L0/"30+ iterations" discussion, Sect. 5.3) where
-  // delta-driven re-evaluation pays the most.
+  // regime of the paper's L0/"30+ iterations" discussion (Sect. 5.3).
   const std::string lubm_cyclic =
       "SELECT * WHERE { ?x <memberOf> ?d . ?x <takesCourse> ?c . "
       "?y <teacherOf> ?c . ?y <worksFor> ?d . ?x <advisor> ?y . "

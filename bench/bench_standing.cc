@@ -188,10 +188,10 @@ int Run(int argc, char** argv) {
       maintain_total > 0 ? cold_total / maintain_total : 0.0;
   std::printf("  totals: maintain %.5fs vs cold %.5fs  speedup %.2fx  "
               "(%zu maintained, %zu recomputed, %zu untouched branches, "
-              "%zu/%zu ineqs armed, %zu carried entries)\n",
+              "%zu/%zu ineqs armed)\n",
               maintain_total, cold_total, speedup, stats.maintained,
               stats.recomputed, stats.untouched_branches, stats.armed_ineqs,
-              stats.total_ineqs, stats.carried_entries);
+              stats.total_ineqs);
 
   FILE* out = stdout;
   const char* json_path = std::getenv("SPARQLSIM_BENCH_JSON");

@@ -10,6 +10,49 @@
 
 namespace sparqlsim::sim {
 
+void ExtractBranchTriples(const Soi& soi, const Solution& solution,
+                          const graph::GraphDatabase& db,
+                          std::vector<graph::Triple>* kept) {
+  for (const Soi::Edge& e : soi.edges) {
+    if (e.predicate == kEmptyPredicate) continue;
+    const util::BitVector& subjects = solution.candidates[e.subject_var];
+    const util::BitVector& objects = solution.candidates[e.object_var];
+    if (subjects.None() || objects.None()) continue;
+    const util::BitMatrix& fwd = db.Forward(e.predicate);
+    subjects.ForEachSetBit([&](uint32_t s) {
+      for (uint32_t o : fwd.Row(s)) {
+        if (objects.Test(o)) kept->push_back({s, e.predicate, o});
+      }
+    });
+  }
+}
+
+void MergeBranches(std::span<const BranchResult> branches,
+                   PruneReport* report) {
+  size_t total_kept = report->kept_triples.size();
+  for (const BranchResult& b : branches) total_kept += b.kept->size();
+  report->kept_triples.reserve(total_kept);
+  for (const BranchResult& b : branches) {
+    for (const auto& [var, groups] : b.soi->query_var_groups) {
+      // Every query variable has at least one occurrence group; a new
+      // entry starts as a copy of the first instead of a zeroed vector
+      // OR-ed with it.
+      assert(!groups.empty());
+      auto [it, inserted] = report->var_candidates.try_emplace(
+          var, b.solution->candidates[groups.front()]);
+      for (size_t g = inserted ? 1 : 0; g < groups.size(); ++g) {
+        it->second.OrWith(b.solution->candidates[groups[g]]);
+      }
+    }
+    report->kept_triples.insert(report->kept_triples.end(), b.kept->begin(),
+                                b.kept->end());
+  }
+  std::sort(report->kept_triples.begin(), report->kept_triples.end());
+  report->kept_triples.erase(
+      std::unique(report->kept_triples.begin(), report->kept_triples.end()),
+      report->kept_triples.end());
+}
+
 SimEngine::SimEngine(const graph::GraphDatabase* db, SolverOptions options,
                      std::shared_ptr<SoiCache> cache)
     : db_(db), options_(options), cache_(std::move(cache)) {
@@ -79,24 +122,7 @@ SimEngine::BranchOutcome SimEngine::ProcessBranch(
   }
 
   if (extract_triples) {
-    // Triple extraction (Sect. 5): a data triple survives iff some pattern
-    // edge (v, a, w) admits it with subject in chi(v) and object in chi(w).
-    const Soi& soi = *out.soi;
-    const Solution& solution = *out.solution;
-    for (const Soi::Edge& e : soi.edges) {
-      if (e.predicate == kEmptyPredicate) continue;
-      const util::BitVector& subjects = solution.candidates[e.subject_var];
-      const util::BitVector& objects = solution.candidates[e.object_var];
-      if (subjects.None() || objects.None()) continue;
-      const util::BitMatrix& fwd = db_->Forward(e.predicate);
-      subjects.ForEachSetBit([&](uint32_t s) {
-        for (uint32_t o : fwd.Row(s)) {
-          if (objects.Test(o)) {
-            out.kept.push_back({s, e.predicate, o});
-          }
-        }
-      });
-    }
+    ExtractBranchTriples(*out.soi, *out.solution, *db_, &out.kept);
   }
   return out;
 }
@@ -130,7 +156,6 @@ PruneReport SimEngine::Prune(const sparql::Query& query,
   graph::ResidencyPin residency_pin = db_->PinResidency();
   PruneReport report;
   report.snapshot_generation = db_->generation();
-  const size_t n = db_->NumNodes();
 
   std::vector<std::unique_ptr<sparql::Pattern>> branches =
       sparql::UnionNormalForm(*query.where);
@@ -156,7 +181,9 @@ PruneReport SimEngine::Prune(const sparql::Query& query,
   // assertion below fires if a refactor ever merges from a pool thread.
   [[maybe_unused]] const std::thread::id coordinator =
       std::this_thread::get_id();
-  for (BranchOutcome& outcome : outcomes) {
+  std::vector<BranchResult> results;
+  results.reserve(outcomes.size());
+  for (const BranchOutcome& outcome : outcomes) {
     assert(std::this_thread::get_id() == coordinator &&
            "PruneReport merge must stay on the coordinating thread");
     if (outcome.solution_from_cache) {
@@ -165,28 +192,10 @@ PruneReport SimEngine::Prune(const sparql::Query& query,
       report.stats.Accumulate(outcome.solution->stats);
     }
     report.truncated = report.truncated || outcome.solution->truncated;
-
-    // Candidate sets per original query variable: union over occurrence
-    // groups; surrogates are subsumed by their anchors (Sect. 4.3), but
-    // unanchored optional groups each contribute.
-    for (const auto& [var, groups] : outcome.soi->query_var_groups) {
-      auto [it, inserted] =
-          report.var_candidates.try_emplace(var, util::BitVector(n));
-      for (uint32_t g : groups) {
-        it->second.OrWith(outcome.solution->candidates[g]);
-      }
-    }
-
-    report.kept_triples.insert(report.kept_triples.end(),
-                               outcome.kept.begin(), outcome.kept.end());
-    outcome.kept.clear();
-    outcome.kept.shrink_to_fit();
+    results.push_back(
+        {outcome.soi.get(), outcome.solution.get(), &outcome.kept});
   }
-
-  std::sort(report.kept_triples.begin(), report.kept_triples.end());
-  report.kept_triples.erase(
-      std::unique(report.kept_triples.begin(), report.kept_triples.end()),
-      report.kept_triples.end());
+  MergeBranches(results, &report);
 
   report.total_seconds = timer.ElapsedSeconds();
   return report;

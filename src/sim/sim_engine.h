@@ -2,6 +2,7 @@
 
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -64,6 +65,30 @@ struct PruneReport {
   uint64_t snapshot_generation = 0;
 };
 
+/// Sect. 5 triple extraction for one solved union-free branch: appends to
+/// `kept` every data triple that some pattern edge (v, a, w) admits with
+/// its subject in chi(v) and its object in chi(w). The caller keeps the
+/// matrices of `db` resident (GraphDatabase::PinResidency).
+void ExtractBranchTriples(const Soi& soi, const Solution& solution,
+                          const graph::GraphDatabase& db,
+                          std::vector<graph::Triple>* kept);
+
+/// One solved union-free branch as MergeBranches reads it (borrowed).
+struct BranchResult {
+  const Soi* soi;
+  const Solution* solution;
+  const std::vector<graph::Triple>* kept;
+};
+
+/// Merges solved branches into `report`, in order: per original query
+/// variable, the union of the candidate sets of all its SOI occurrence
+/// groups across the branches (surrogates are subsumed by their anchors,
+/// Sect. 4.3, but unanchored optional groups each contribute); and the
+/// branches' kept triples, sorted and deduplicated. Solver stats, cache
+/// hits and truncation are the caller's to merge.
+void MergeBranches(std::span<const BranchResult> branches,
+                   PruneReport* report);
+
 /// The execution subsystem for SOI solving — owns policy end to end:
 /// thread pool, per-round parallel inequality evaluation, batching of
 /// union-free branches, and SOI/solution caching.
@@ -73,9 +98,8 @@ struct PruneReport {
 /// 1 = everything inline on the caller) and shared by every solve issued
 /// through the engine, including the nested per-round parallelism of
 /// branch-batched prunes. Determinism: results are bit-identical for any
-/// `num_threads` and for `incremental_eval` on/off — fixpoint trajectory
-/// included, so the cache layers may serve entries solved under either
-/// setting; see SolveSoi.
+/// `num_threads` — fixpoint trajectory included, so the cache layers may
+/// serve entries solved under any thread count; see SolveSoi.
 ///
 /// Caching: unless a shared cache is injected, the engine creates a private
 /// SoiCache when either cache toggle is set — bounded by

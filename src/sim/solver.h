@@ -3,7 +3,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -34,22 +33,6 @@ struct SolverOptions {
   /// Order the initial worklist so that inequalities whose matrix has the
   /// most empty columns (highest pruning potential) come first.
   bool order_by_sparsity = true;
-
-  /// Delta-driven incremental re-evaluation of matrix inequalities. The
-  /// fixpoint shrinks candidate sets monotonically, so instead of
-  /// re-unioning every row selected by chi(rhs) on each re-evaluation, the
-  /// solver keeps a util::CountedAccumulator per inequality (per-column
-  /// cover counts plus the product vector) and, when the removal delta is
-  /// small, decrements counts along only the rows that *left* chi(rhs)
-  /// since the accumulator was last synchronized — work proportional to
-  /// the delta, not to nnz. A cost rule analogous to the row/column
-  /// dynamic rule picks delta vs full evaluation per inequality; results
-  /// are bit-identical either way (the accumulator's product is exactly
-  /// the Eq. (9) union), so this is purely a wall-clock knob, ablatable
-  /// for benchmarks. Accumulators are allocated lazily from an
-  /// inequality's second row-wise evaluation on, so one-shot inequalities
-  /// never pay the O(cols) counter memory.
-  bool incremental_eval = true;
 
   /// Safety valve for experiments; 0 means no limit.
   size_t max_rounds = 0;
@@ -116,25 +99,12 @@ struct SolveStats {
   size_t rounds = 0;
   size_t evaluations = 0;  // inequality evaluations
   size_t updates = 0;      // evaluations that shrank a candidate set
-  size_t row_evals = 0;    // full row-wise products (Eq. 9)
-  size_t col_evals = 0;    // full column-wise evaluations
+  size_t row_evals = 0;    // row-wise products (Eq. 9)
+  size_t col_evals = 0;    // column-wise evaluations
   double solve_seconds = 0.0;
 
-  /// Incremental-evaluation counters (SolverOptions::incremental_eval).
-  /// Every evaluation is either a delta evaluation (counted retraction
-  /// through the per-inequality accumulator) or a full one (row, column,
-  /// subordination, skip, clear), so
-  ///     delta_evals + full_evals == evaluations
-  /// holds for every run; with incremental_eval off, delta_evals == 0.
+  /// Always 0: kept only for perfbench's `sim.delta_evals`.
   size_t delta_evals = 0;
-  size_t full_evals = 0;
-  /// Accumulator (re)builds — the speculative cost the delta evaluations
-  /// amortize; a build is counted inside the row evaluation that performs
-  /// it.
-  size_t acc_rebuilds = 0;
-  /// Columns cleared by counted retraction (cover count hit zero) — the
-  /// actual pruning work the deltas performed.
-  size_t cols_cleared = 0;
   /// Zero 64-word blocks the hierarchical candidate vectors skipped in
   /// the single-threaded AND kernels (initialization + merge phases);
   /// grows as candidate sets collapse.
@@ -156,80 +126,6 @@ struct SolveStats {
   /// branches at a single-threaded merge point after the batch barrier
   /// (see SimEngine::Prune). Never call this from worker tasks.
   void Accumulate(const SolveStats& other);
-};
-
-struct Solution;
-struct WarmStart;
-class IncrementalCarry;
-Solution SolveSoiWarm(const Soi& soi, const graph::GraphDatabase& db,
-                      const SolverOptions& options,
-                      const std::vector<util::BitVector>* initial,
-                      util::ThreadPool* pool, const SolveControl* control,
-                      const WarmStart* warm);
-
-/// Opaque per-inequality incremental-solver state (snapshot products,
-/// counted accumulators, and their synchronized selections) carried across
-/// solves of the *same* Soi instance — the state half of standing-query
-/// maintenance (sim::StandingQuery). A solve handed a carry through
-/// WarmStart adopts every entry the caller did not declare stale and, on
-/// reaching the fixpoint, deposits its final state back, so the next
-/// delta's retraction resumes from products synchronized during this
-/// solve instead of rebuilding them. Truncated solves deposit nothing
-/// (the carry is cleared: their state is not anchored to a fixpoint).
-///
-/// Not thread-safe; a carry belongs to exactly one solve at a time.
-class IncrementalCarry {
- public:
-  IncrementalCarry();
-  ~IncrementalCarry();
-  IncrementalCarry(IncrementalCarry&&) noexcept;
-  IncrementalCarry& operator=(IncrementalCarry&&) noexcept;
-
-  /// Drops all carried state; the next solve starts with cold tiers.
-  void Clear();
-  /// Inequalities currently holding a live snapshot product or counted
-  /// accumulator (an engagement gauge for tests and stats).
-  size_t LiveEntries() const;
-
- private:
-  friend Solution SolveSoiWarm(const Soi&, const graph::GraphDatabase&,
-                               const SolverOptions&,
-                               const std::vector<util::BitVector>*,
-                               util::ThreadPool*, const SolveControl*,
-                               const WarmStart*);
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-};
-
-/// Warm-start description for re-converging a previously solved SOI after
-/// a graph delta (sim::StandingQuery). Combined with the `initial`
-/// assignment parameter of SolveSoiWarm, the solver computes the largest
-/// solution below `initial`, seeding the first round's worklist with only
-/// the `armed` inequalities; everything else re-activates through the
-/// normal dependency worklist when a variable it reads shrinks.
-///
-/// Soundness is the caller's contract: every unarmed inequality must
-/// already hold at the initial assignment against the new database (true
-/// for StandingQuery's construction — unarmed inequalities read only
-/// unchanged predicates and variables whose initial value is the old
-/// converged fixpoint). Given that, the solve's result is exactly the
-/// canonical fixpoint a cold solve would produce.
-struct WarmStart {
-  /// Unified-index arming mask, sized matrix_ineqs.size() +
-  /// sub_ineqs.size() with matrix inequalities first (the solver's
-  /// internal handle space): true = place on the initial worklist. Null
-  /// arms everything (plain solve semantics).
-  const std::vector<bool>* armed = nullptr;
-  /// Incremental state carried from the previous converged solve of the
-  /// same Soi; may be null. Ignored — and cleared — when
-  /// options.incremental_eval is off.
-  IncrementalCarry* carry = nullptr;
-  /// Per-matrix-inequality staleness for `carry` (sized
-  /// matrix_ineqs.size()): true = drop the carried entry — its matrix
-  /// changed, or chi(rhs) may exceed the entry's synchronized selection
-  /// (retraction requires monotone shrink from the sync point). Null
-  /// keeps every entry.
-  const std::vector<bool>* carry_invalid = nullptr;
 };
 
 /// The largest solution of an SOI: one candidate bit-vector per SOI
@@ -266,10 +162,8 @@ struct Solution {
 /// merges the masks into the candidate vectors in fixed worklist order on
 /// the calling thread. Because each mask is a pure function of the
 /// round-start state and the merge order never depends on scheduling, the
-/// result is bit-identical for every thread count — and for
-/// `incremental_eval` on vs off, since a delta-maintained accumulator
-/// reproduces exactly the Eq. (9) product a full evaluation would compute
-/// (rounds/evaluations/updates agree too, not just the fixpoint).
+/// result is bit-identical for every thread count (rounds/evaluations/
+/// updates agree too, not just the fixpoint).
 ///
 /// When `options.num_threads != 1` a transient pool is spun up for this one
 /// call; long-lived consumers should hold a SimEngine, which owns a
@@ -289,20 +183,28 @@ Solution SolveSoi(const Soi& soi, const graph::GraphDatabase& db,
                   const SolveControl* control = nullptr);
 
 /// Warm-start entry point (sim::StandingQuery): like the pool overload of
-/// SolveSoi, plus a WarmStart that seeds the first round's worklist with
-/// only the armed inequalities and threads incremental state across
-/// solves. `warm == nullptr` (or a default WarmStart) degrades to the
-/// plain solve. With an all-false arming mask and an `initial` equal to a
-/// converged fixpoint the solve performs zero rounds — a no-op delta is
-/// free.
+/// SolveSoi, but the first round's worklist holds only the inequalities
+/// `armed` marks. The mask is indexed in the solver's unified handle space
+/// — matrix_ineqs.size() + sub_ineqs.size() entries, matrix inequalities
+/// first — and a null mask arms everything (the plain solve). Unarmed
+/// inequalities re-activate through the normal dependency worklist when a
+/// variable they read shrinks. With an all-false mask and an `initial`
+/// equal to a converged fixpoint the solve performs zero rounds — a no-op
+/// delta is free.
+///
+/// Soundness is the caller's contract: every unarmed inequality must
+/// already hold at `initial` against `db` (true for StandingQuery's
+/// construction — unarmed inequalities read only unchanged predicates and
+/// variables whose initial value is the old converged fixpoint). Given
+/// that, the result is exactly the canonical fixpoint a cold solve below
+/// `initial` would produce.
 ///
 /// Every call allocates its own workspace (candidate sets, worklist, eval
-/// masks, per-inequality incremental state); a converged warm solve moves
-/// its incremental state into `warm->carry`.
+/// masks) and keeps nothing once it returns.
 Solution SolveSoiWarm(const Soi& soi, const graph::GraphDatabase& db,
                       const SolverOptions& options,
                       const std::vector<util::BitVector>* initial,
                       util::ThreadPool* pool, const SolveControl* control,
-                      const WarmStart* warm);
+                      const std::vector<bool>* armed);
 
 }  // namespace sparqlsim::sim

@@ -45,13 +45,8 @@ StandingQuery::StandingQuery(
     BranchState b;
     b.soi = std::make_shared<const Soi>(
         BuildSoiFromPattern(*branch, *snapshot_));
-    // Even the registration solve threads the carry, so the first delta
-    // already retracts from products synchronized at this fixpoint.
-    WarmStart warm;
-    warm.carry = &b.carry;
-    b.solution = SolveSoiWarm(*b.soi, *snapshot_, options_.solver,
-                              /*initial=*/nullptr, pool_.get(),
-                              /*control=*/nullptr, &warm);
+    b.solution = SolveSoi(*b.soi, *snapshot_, options_.solver,
+                          /*initial=*/nullptr, pool_.get());
     stats.Accumulate(b.solution.stats);
     ExtractTriples(b, *snapshot_);
     branches_.push_back(std::move(b));
@@ -201,13 +196,8 @@ void StandingQuery::MaintainBranch(BranchState& b,
 
   Solution solved;
   if (recompute) {
-    // Cold solve, still threading the (cleared) carry so the *next* delta
-    // retracts from products synchronized at this fixpoint.
-    b.carry.Clear();
-    WarmStart warm;
-    warm.carry = &b.carry;
-    solved = SolveSoiWarm(soi, next, options_.solver, /*initial=*/nullptr,
-                          pool_.get(), /*control=*/nullptr, &warm);
+    solved = SolveSoi(soi, next, options_.solver, /*initial=*/nullptr,
+                      pool_.get());
     ++stats_.recomputed;
   } else {
     // Arm: inequalities reading a dirty matrix; inequalities whose lhs is
@@ -216,7 +206,6 @@ void StandingQuery::MaintainBranch(BranchState& b,
     // old fixpoint (cone = may have grown, touched = summary AND may have
     // shrunk it at initialization without a round to queue dependents).
     std::vector<bool> armed(num_ineqs, false);
-    std::vector<bool> carry_invalid(num_matrix, false);
     size_t armed_count = 0;
     for (size_t i = 0; i < num_matrix; ++i) {
       const Soi::MatrixIneq& m = soi.matrix_ineqs[i];
@@ -226,10 +215,6 @@ void StandingQuery::MaintainBranch(BranchState& b,
         armed[i] = true;
         ++armed_count;
       }
-      // A carried product/accumulator retracts soundly iff its matrix is
-      // unchanged and the selection only shrank since the sync point;
-      // a cone rhs may exceed it, a merely-touched rhs cannot.
-      if (pred_dirty || cone[m.rhs]) carry_invalid[i] = true;
     }
     for (size_t s = 0; s < soi.sub_ineqs.size(); ++s) {
       const Soi::SubIneq& si = soi.sub_ineqs[s];
@@ -253,13 +238,8 @@ void StandingQuery::MaintainBranch(BranchState& b,
       }
     }
 
-    stats_.carried_entries += b.carry.LiveEntries();
-    WarmStart warm;
-    warm.armed = &armed;
-    warm.carry = &b.carry;
-    warm.carry_invalid = &carry_invalid;
     solved = SolveSoiWarm(soi, next, options_.solver, &start, pool_.get(),
-                          /*control=*/nullptr, &warm);
+                          /*control=*/nullptr, &armed);
     ++stats_.maintained;
     stats_.armed_ineqs += armed_count;
     stats_.total_ineqs += num_ineqs;
@@ -273,21 +253,7 @@ void StandingQuery::ExtractTriples(BranchState& b,
                                    const graph::GraphDatabase& db) {
   graph::ResidencyPin residency_pin = db.PinResidency();
   b.kept.clear();
-  const Soi& soi = *b.soi;
-  for (const Soi::Edge& e : soi.edges) {
-    if (e.predicate == kEmptyPredicate) continue;
-    const util::BitVector& subjects = b.solution.candidates[e.subject_var];
-    const util::BitVector& objects = b.solution.candidates[e.object_var];
-    if (subjects.None() || objects.None()) continue;
-    const util::BitMatrix& fwd = db.Forward(e.predicate);
-    subjects.ForEachSetBit([&](uint32_t s) {
-      for (uint32_t o : fwd.Row(s)) {
-        if (objects.Test(o)) {
-          b.kept.push_back({s, e.predicate, o});
-        }
-      }
-    });
-  }
+  ExtractBranchTriples(*b.soi, b.solution, db, &b.kept);
 }
 
 void StandingQuery::RebuildReport(const SolveStats& stats, double seconds) {
@@ -295,22 +261,12 @@ void StandingQuery::RebuildReport(const SolveStats& stats, double seconds) {
   report_.snapshot_generation = snapshot_->generation();
   report_.num_branches = branches_.size();
   report_.stats = stats;
-  const size_t n = snapshot_->NumNodes();
+  std::vector<BranchResult> results;
+  results.reserve(branches_.size());
   for (const BranchState& b : branches_) {
-    for (const auto& [var, groups] : b.soi->query_var_groups) {
-      auto [it, inserted] =
-          report_.var_candidates.try_emplace(var, util::BitVector(n));
-      for (uint32_t g : groups) {
-        it->second.OrWith(b.solution.candidates[g]);
-      }
-    }
-    report_.kept_triples.insert(report_.kept_triples.end(), b.kept.begin(),
-                                b.kept.end());
+    results.push_back({b.soi.get(), &b.solution, &b.kept});
   }
-  std::sort(report_.kept_triples.begin(), report_.kept_triples.end());
-  report_.kept_triples.erase(
-      std::unique(report_.kept_triples.begin(), report_.kept_triples.end()),
-      report_.kept_triples.end());
+  MergeBranches(results, &report_);
   report_.total_seconds = seconds;
 }
 

@@ -28,13 +28,12 @@ struct TripleDelta {
 };
 
 struct StandingQueryOptions {
-  /// Per-solve policy (threads, incremental tiers). The
-  /// cache toggles are ignored — a standing query *is* its own cache: it
-  /// holds the converged solution and incremental state per branch.
+  /// Per-solve policy (threads, evaluation strategy). The cache toggles
+  /// are ignored — a standing query *is* its own cache: it holds the
+  /// converged solution per branch.
   SolverOptions solver;
 
-  /// Escalation policy seam (the maintenance analogue of the solver's
-  /// kAccDeltaThreshold constants): kAuto applies the cost model below,
+  /// Escalation policy seam: kAuto applies the cost model below,
   /// the forced modes pin the decision for differential tests — results
   /// are bit-identical across all three, only wall-clock and the
   /// maintained/recomputed counters differ.
@@ -74,10 +73,6 @@ struct StandingStats {
   /// strictly less than a full first round" engagement signal.
   size_t armed_ineqs = 0;
   size_t total_ineqs = 0;
-  /// Incremental-state entries (snapshot products / counted accumulators)
-  /// adopted from the carry across warm solves — state actually reused
-  /// across generations, not rebuilt.
-  size_t carried_entries = 0;
   /// Wall time spent inside Apply/ApplySnapshot (solves + extraction).
   double maintain_seconds = 0.0;
 };
@@ -89,19 +84,18 @@ struct StandingStats {
 ///
 /// The standing query pins a GraphDatabase snapshot and holds, per
 /// union-free branch of the query, its SOI, the converged Solution, the
-/// extracted kept-triples, and the solver's IncrementalCarry (snapshot
-/// products + counted accumulators). Apply(delta) — or ApplySnapshot with
-/// a successor version from a COW publish chain — re-converges from that
+/// extracted kept-triples. Apply(delta) — or ApplySnapshot with a
+/// successor version from a COW publish chain — re-converges from that
 /// state:
 ///
 ///  * the per-predicate dirty set falls out of COW slab identity
 ///    (GraphDatabase::ChangedPredicates — pointer diff is content diff
 ///    along a publish chain);
-///  * deletions retract through the solver's existing per-column
-///    decrement path: the old fixpoint is a sound over-approximation of
-///    the new one, so the warm start begins at the converged assignment
-///    and re-arms only inequalities reading a dirty predicate (plus the
-///    dependents of variables whose summary initialization shrank);
+///  * deletions only shrink the fixpoint: the old fixpoint is a sound
+///    over-approximation of the new one, so the warm start begins at the
+///    converged assignment and re-arms only inequalities reading a dirty
+///    predicate (plus the dependents of variables whose summary
+///    initialization shrank);
 ///  * insertions reset the *affected cone* (variables reading a grown
 ///    predicate, closed under inequality reading) to the cold
 ///    initialization — outside the cone the old assignment provably *is*
@@ -156,7 +150,6 @@ class StandingQuery {
     std::shared_ptr<const Soi> soi;
     Solution solution;
     std::vector<graph::Triple> kept;
-    IncrementalCarry carry;
   };
 
   /// Re-converges one branch onto `next` given the per-predicate dirty
@@ -167,12 +160,11 @@ class StandingQuery {
                       const std::vector<bool>& dirty, GrownFn&& grown,
                       SolveStats* stats);
 
-  /// Re-extracts the branch's kept triples against `db` (the Sect. 5
-  /// extraction, same loop as SimEngine::ProcessBranch).
+  /// Re-extracts the branch's kept triples against `db`.
   static void ExtractTriples(BranchState& b, const graph::GraphDatabase& db);
 
-  /// Reassembles report_ from the per-branch state (the single-writer
-  /// merge of SimEngine::Prune, minus the concurrency).
+  /// Reassembles report_ from the per-branch state (MergeBranches, as
+  /// SimEngine::Prune does).
   void RebuildReport(const SolveStats& stats, double seconds);
 
   StandingQueryOptions options_;

@@ -88,8 +88,7 @@ class BitMatrix {
   /// with ForEachSetBit and words() over row indices); `selected` must
   /// equal x.Count(). A small selection walks its set bits (one Row lookup
   /// each); a large one ANDs its words with the presence bitmap. This is
-  /// the row walk of both Multiply overloads and of
-  /// CountedAccumulator::Rebuild.
+  /// the row walk of both Multiply overloads.
   template <typename SelT, typename Fn>
   void ForEachSelectedRow(const SelT& x, size_t selected, Fn&& fn) const {
     if (selected * 8 < NumNonEmptyRows()) {

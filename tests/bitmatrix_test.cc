@@ -8,7 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "util/counted_accumulator.h"
 #include "util/hierarchical_bitvector.h"
 #include "util/rng.h"
 
@@ -285,87 +284,6 @@ TEST(BitMatrixTest, HierarchicalMultiplyMatchesPlain) {
     m.Multiply(HierarchicalBitVector(x), x.Count(), &viah);
     EXPECT_EQ(viah, plain) << "trial " << trial;
   }
-}
-
-// ---------------------------------------------------------------------------
-// CountedAccumulator: the incremental product must track the full product
-// exactly through arbitrary monotone removal sequences.
-// ---------------------------------------------------------------------------
-
-TEST(CountedAccumulatorTest, RebuildMatchesMultiply) {
-  BitMatrix m = BitMatrix::Build(6, 6, {{0, 1}, {0, 2}, {2, 2}, {5, 0}});
-  BitVector sel = BitVector::FromIndices(6, {0, 2, 5});
-  CountedAccumulator acc;
-  acc.Rebuild(m, sel, sel.Count());
-  BitVector expected(6);
-  m.Multiply(sel, &expected);
-  EXPECT_EQ(acc.result(), expected);
-  EXPECT_EQ(acc.count(2), 2u);  // covered by rows 0 and 2
-  EXPECT_EQ(acc.count(1), 1u);
-  EXPECT_EQ(acc.count(0), 1u);
-}
-
-TEST(CountedAccumulatorTest, RetractClearsExactlyZeroCountColumns) {
-  BitMatrix m = BitMatrix::Build(6, 6, {{0, 1}, {0, 2}, {2, 2}, {5, 0}});
-  CountedAccumulator acc;
-  acc.Rebuild(m, BitVector(6, true), 6);
-  // Remove row 0: column 1 loses its only cover, column 2 keeps row 2's.
-  EXPECT_EQ(acc.Retract(m, BitVector::FromIndices(6, {0})), 1u);
-  EXPECT_FALSE(acc.result().Test(1));
-  EXPECT_TRUE(acc.result().Test(2));
-  EXPECT_EQ(acc.count(2), 1u);
-  // Removing a row with no entries clears nothing.
-  EXPECT_EQ(acc.Retract(m, BitVector::FromIndices(6, {3})), 0u);
-  // Remove the remaining covers.
-  EXPECT_EQ(acc.Retract(m, BitVector::FromIndices(6, {2, 5})), 2u);
-  EXPECT_TRUE(acc.result().None());
-}
-
-TEST(CountedAccumulatorTest, RandomizedRetractionMatchesRebuild) {
-  Rng rng(5150);
-  for (int trial = 0; trial < 12; ++trial) {
-    const size_t n = 10 + rng.NextBounded(300);
-    std::vector<std::pair<uint32_t, uint32_t>> entries;
-    const size_t nnz = 1 + rng.NextBounded(4 * n);
-    for (size_t i = 0; i < nnz; ++i) {
-      entries.emplace_back(static_cast<uint32_t>(rng.NextBounded(n)),
-                           static_cast<uint32_t>(rng.NextBounded(n)));
-    }
-    BitMatrix m = BitMatrix::Build(n, n, std::move(entries));
-
-    BitVector selected(n, true);
-    CountedAccumulator acc;
-    acc.Rebuild(m, selected, selected.Count());
-    while (selected.Any()) {
-      // Retract a random non-empty subset of the current selection.
-      BitVector gone(n);
-      selected.ForEachSetBit([&](uint32_t r) {
-        if (rng.NextBool(0.4)) gone.Set(r);
-      });
-      if (gone.None()) gone.Set(static_cast<size_t>(selected.FindFirst()));
-      selected.AndNotWith(gone);
-      size_t before = acc.result().Count();
-      size_t cleared = acc.Retract(m, gone);
-      EXPECT_EQ(acc.result().Count(), before - cleared);
-
-      CountedAccumulator fresh;
-      fresh.Rebuild(m, selected, selected.Count());
-      ASSERT_EQ(acc.result(), fresh.result()) << "trial " << trial;
-      BitVector product(n);
-      m.Multiply(selected, &product);
-      ASSERT_EQ(acc.result(), product) << "trial " << trial;
-    }
-  }
-}
-
-TEST(CountedAccumulatorTest, RebuildFromHierarchicalSelector) {
-  BitMatrix m = BitMatrix::Build(5000, 5000, {{4999, 1}, {100, 4098}});
-  HierarchicalBitVector sel(5000, true);
-  CountedAccumulator acc;
-  acc.Rebuild(m, sel, 5000);
-  EXPECT_TRUE(acc.result().Test(1));
-  EXPECT_TRUE(acc.result().Test(4098));
-  EXPECT_EQ(acc.result().Count(), 2u);
 }
 
 }  // namespace

@@ -145,6 +145,15 @@ TEST_F(CliBatchTest, UnknownFlagIsUsageError) {
   EXPECT_EQ(code, 2);
 }
 
+TEST_F(CliBatchTest, RemovedIncrementalFlagsAreUsageErrors) {
+  for (const char* flag : {"--incremental", "--no-incremental"}) {
+    int code = 0;
+    RunCommand(Batch() + " " + flag + " " + NtPath() + " " + QueriesPath(),
+               &code);
+    EXPECT_EQ(code, 2) << flag;
+  }
+}
+
 TEST_F(CliBatchTest, MalformedSizeFlagsAreUsageErrors) {
   for (const char* flags :
        {"--threads abc", "--queue-depth=-1", "--resident-mb abc",

@@ -139,6 +139,17 @@ TEST_F(CliTest, UnknownOptionsAreUsageErrors) {
   }
 }
 
+TEST_F(CliTest, RemovedIncrementalFlagsAreUsageErrors) {
+  for (const char* flag : {"--incremental", "--no-incremental"}) {
+    int code = 0;
+    RunCommand("echo 'SELECT * WHERE { ?d <directed> ?m . }' | " +
+                   std::string(SPARQLSIM_CLI) + " " + flag + " prune " +
+                   NtPath() + " - /tmp/sparqlsim_cli_test_flag.nt",
+               &code);
+    EXPECT_EQ(code, 2) << flag;
+  }
+}
+
 TEST_F(CliTest, HostileNestingIsAParseErrorNotACrash) {
   const std::string path = "/tmp/sparqlsim_cli_test_deep.rq";
   {

@@ -2,9 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "datagen/movies.h"
 #include "datagen/random_graphs.h"
 #include "sim/equivalence.h"
+#include "sim/naive_oracle.h"
+#include "sim/sim_engine.h"
 #include "sim/soi.h"
 #include "sim/validate.h"
 #include "sparql/parser.h"
@@ -151,6 +158,99 @@ TEST(SolverTest, StatsCountEvaluationModes) {
   EXPECT_GT(sc.stats.col_evals, 0u);
 }
 
+// The forced eval modes compute the same masks after the AND with
+// chi(lhs), so they walk the same fixpoint trajectory; only the eval-kind
+// split differs, and it stays within the evaluation count.
+TEST(SolverTest, ForcedEvalModesAgreeAndCountersAddUp) {
+  datagen::RandomGraphConfig config;
+  config.num_nodes = 130;
+  config.num_edges = 650;
+  config.num_labels = 2;
+  config.seed = 11;
+  graph::GraphDatabase db = datagen::MakeRandomDatabase(config);
+  graph::Graph pattern = datagen::MakeRandomPattern(6, 5, 2, 901);
+  Soi soi = BuildSoiFromGraph(pattern);
+
+  Solution reference;
+  for (auto mode : {SolverOptions::EvalMode::kDynamic,
+                    SolverOptions::EvalMode::kRowWise,
+                    SolverOptions::EvalMode::kColumnWise}) {
+    SolverOptions options;
+    options.eval_mode = mode;
+    Solution s = SolveSoi(soi, db, options);
+    EXPECT_LE(s.stats.row_evals + s.stats.col_evals, s.stats.evaluations);
+    EXPECT_LE(s.stats.updates, s.stats.evaluations);
+    if (mode == SolverOptions::EvalMode::kRowWise) {
+      EXPECT_GT(s.stats.row_evals, 0u);
+      EXPECT_EQ(s.stats.col_evals, 0u);
+    }
+    if (mode == SolverOptions::EvalMode::kColumnWise) {
+      EXPECT_EQ(s.stats.row_evals, 0u);
+      EXPECT_GT(s.stats.col_evals, 0u);
+    }
+    if (mode == SolverOptions::EvalMode::kDynamic) {
+      reference = std::move(s);
+      continue;
+    }
+    ASSERT_EQ(s.candidates.size(), reference.candidates.size());
+    for (size_t v = 0; v < reference.candidates.size(); ++v) {
+      EXPECT_EQ(s.candidates[v], reference.candidates[v]) << "var " << v;
+    }
+    EXPECT_EQ(s.stats.rounds, reference.stats.rounds);
+    EXPECT_EQ(s.stats.evaluations, reference.stats.evaluations);
+    EXPECT_EQ(s.stats.updates, reference.stats.updates);
+  }
+}
+
+// Restricted solves (the strong-simulation ball path) start below the
+// all-ones assignment via `initial`: the result is the largest solution
+// below it, at every thread count.
+TEST(SolverTest, RestrictedSolveRespectsInitialAssignment) {
+  datagen::RandomGraphConfig config;
+  config.num_nodes = 80;
+  config.num_edges = 300;
+  config.num_labels = 2;
+  config.seed = 23;
+  graph::GraphDatabase db = datagen::MakeRandomDatabase(config);
+  graph::Graph pattern = datagen::MakeRandomPattern(5, 3, 2, 321);
+  Soi soi = BuildSoiFromGraph(pattern);
+
+  // Restrict every variable to the even nodes.
+  std::vector<util::BitVector> initial(soi.NumVars(),
+                                       util::BitVector(db.NumNodes()));
+  for (auto& v : initial) {
+    for (size_t i = 0; i < db.NumNodes(); i += 2) v.Set(i);
+  }
+
+  Solution full = SolveSoi(soi, db);
+  Solution restricted = SolveSoi(soi, db, {}, &initial);
+  std::string why;
+  EXPECT_TRUE(SatisfiesSoi(soi, db, restricted.candidates, &why)) << why;
+  for (size_t v = 0; v < soi.NumVars(); ++v) {
+    EXPECT_TRUE(restricted.candidates[v].IsSubsetOf(initial[v]));
+    EXPECT_TRUE(restricted.candidates[v].IsSubsetOf(full.candidates[v]));
+  }
+  // Largest below `initial`: no single allowed candidate can be added.
+  for (size_t v = 0; v < soi.NumVars(); ++v) {
+    initial[v].ForEachSetBit([&](uint32_t node) {
+      if (restricted.candidates[v].Test(node)) return;
+      std::vector<util::BitVector> enlarged = restricted.candidates;
+      enlarged[v].Set(node);
+      EXPECT_FALSE(SatisfiesSoi(soi, db, enlarged))
+          << "var " << v << " node " << node;
+    });
+  }
+
+  SolverOptions threaded;
+  threaded.num_threads = 4;
+  Solution parallel = SolveSoi(soi, db, threaded, &initial);
+  for (size_t v = 0; v < soi.NumVars(); ++v) {
+    EXPECT_EQ(parallel.candidates[v], restricted.candidates[v]) << "var " << v;
+  }
+  EXPECT_EQ(parallel.stats.rounds, restricted.stats.rounds);
+  EXPECT_EQ(parallel.stats.updates, restricted.stats.updates);
+}
+
 TEST(SolverTest, AccumulateStats) {
   SolveStats a;
   a.rounds = 2;
@@ -214,6 +314,101 @@ TEST(EquivalenceTest, SignaturesAreConsistent) {
     }
   }
 }
+
+// ---------------------------------------------------------------------------
+// Threads differential: every thread count reproduces the single-threaded
+// solve bit for bit, trajectory included, and the single-threaded solve
+// equals the naive oracle's largest dual simulation.
+// ---------------------------------------------------------------------------
+
+SolverOptions ThreadOptions(size_t threads) {
+  SolverOptions options;
+  options.num_threads = threads;
+  options.cache_sois = false;  // differential runs must actually solve
+  options.cache_solutions = false;
+  return options;
+}
+
+class ThreadsDifferential : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(ThreadsDifferential, RandomSoiMatchesOracleAtEveryThreadCount) {
+  const uint64_t seed = GetParam();
+  datagen::RandomGraphConfig config;
+  config.num_nodes = 140;
+  config.num_edges = 520;
+  config.num_labels = 3;
+  config.seed = seed;
+  graph::GraphDatabase db = datagen::MakeRandomDatabase(config);
+  // Denser patterns than the database (6 nodes, 10 edges) take several
+  // rounds to converge.
+  graph::Graph pattern = datagen::MakeRandomPattern(6, 4, 3, seed + 500);
+  Soi soi = BuildSoiFromGraph(pattern);
+
+  Solution reference = SimEngine(&db, ThreadOptions(1)).Solve(soi);
+  std::set<std::pair<uint32_t, uint32_t>> relation;
+  for (uint32_t v = 0; v < pattern.NumNodes(); ++v) {
+    reference.candidates[v].ForEachSetBit(
+        [&](uint32_t x) { relation.emplace(v, x); });
+  }
+  EXPECT_EQ(relation, OracleLargestDualSimulation(pattern, db))
+      << "seed " << seed;
+
+  for (size_t threads : {size_t{2}, size_t{8}}) {
+    Solution solution = SimEngine(&db, ThreadOptions(threads)).Solve(soi);
+    ASSERT_EQ(solution.candidates.size(), reference.candidates.size());
+    for (size_t v = 0; v < reference.candidates.size(); ++v) {
+      ASSERT_EQ(solution.candidates[v], reference.candidates[v])
+          << "seed " << seed << ", threads " << threads << ", var " << v;
+    }
+    EXPECT_EQ(solution.stats.rounds, reference.stats.rounds);
+    EXPECT_EQ(solution.stats.evaluations, reference.stats.evaluations);
+    EXPECT_EQ(solution.stats.updates, reference.stats.updates);
+    EXPECT_EQ(solution.stats.row_evals, reference.stats.row_evals);
+    EXPECT_EQ(solution.stats.col_evals, reference.stats.col_evals);
+  }
+}
+
+TEST_P(ThreadsDifferential, PruneReportsIdenticalAcrossThreads) {
+  const uint64_t seed = GetParam();
+  // OPTIONAL + UNION exercise subordinations and branch batching on top
+  // of the matrix inequalities.
+  auto parsed = sparql::Parser::Parse(
+      "SELECT * WHERE { { ?x <p0> ?y . ?y <p1> ?z . ?z <p0> ?x . "
+      "OPTIONAL { ?y <p0> ?w . } } UNION { ?a <p1> ?b . ?b <p1> ?a . } }");
+  ASSERT_TRUE(parsed.ok()) << parsed.error_message();
+  sparql::Query query = std::move(parsed).value();
+
+  for (uint64_t graph_offset : {uint64_t{77}, uint64_t{177}}) {
+    datagen::RandomGraphConfig config;
+    config.num_nodes = 90;
+    config.num_edges = 350;
+    config.num_labels = 2;
+    config.seed = seed + graph_offset;
+    graph::GraphDatabase db = datagen::MakeRandomDatabase(config);
+
+    PruneReport reference = SimEngine(&db, ThreadOptions(1)).Prune(query);
+    for (size_t threads : {size_t{2}, size_t{8}}) {
+      PruneReport report =
+          SimEngine(&db, ThreadOptions(threads)).Prune(query);
+      const std::string context = "graph seed " + std::to_string(config.seed) +
+                                  ", " + std::to_string(threads) + " threads";
+      EXPECT_EQ(report.kept_triples, reference.kept_triples) << context;
+      ASSERT_EQ(report.var_candidates.size(), reference.var_candidates.size());
+      for (const auto& [var, bits] : reference.var_candidates) {
+        auto it = report.var_candidates.find(var);
+        ASSERT_NE(it, report.var_candidates.end()) << var;
+        EXPECT_EQ(it->second, bits) << context << ", var " << var;
+      }
+      EXPECT_EQ(report.stats.rounds, reference.stats.rounds) << context;
+      EXPECT_EQ(report.stats.evaluations, reference.stats.evaluations)
+          << context;
+      EXPECT_EQ(report.stats.updates, reference.stats.updates) << context;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ThreadsDifferential,
+                         ::testing::Range<uint64_t>(1, 10));  // 9 seeds
 
 }  // namespace
 }  // namespace sparqlsim::sim

@@ -132,8 +132,8 @@ SPARQLSIM_BENCH_JSON="$RUN_DIR/bench_outofcore.json" run_bench bench_outofcore
   # data the numbers were measured on.
   echo "  \"db\": \"${SPARQLSIM_DB:-synthetic}\","
   # Structured per-bench JSON, embedded verbatim: the ablation block carries
-  # the incremental-evaluation on/off comparison (seconds + per-variant
-  # rounds/updates/delta counters), parallel the thread scaling, service the
+  # each solver-strategy variant's solve-time quartiles (p25/p50/p75) and
+  # rounds/updates/eval counters, parallel the thread scaling, service the
   # throughput numbers across the worker and snapshot-churn axes (samples[]
   # + the churn object).
   echo '  "ablation":'

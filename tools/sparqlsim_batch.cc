@@ -16,9 +16,6 @@
 //   --queue-depth N     max queries in flight before Submit blocks (def. 64)
 //   --cache-capacity N  LRU entry bound per cache layer (0 = unbounded)
 //   --cache|--no-cache  toggle the SOI/solution cache (on by default)
-//   --incremental|--no-incremental
-//                       toggle delta-driven fixpoint evaluation (on by
-//                       default; bit-identical results either way)
 //   --deadline-ms N     per-query compute budget; expired queries return a
 //                       sound over-approximation marked "truncated"
 //   --priority high|low default admission class for untagged queries
@@ -76,7 +73,6 @@ int Usage() {
       stderr,
       "usage: sparqlsim_batch [--threads N] [--queue-depth N]\n"
       "                       [--cache-capacity N] [--cache|--no-cache]\n"
-      "                       [--incremental|--no-incremental]\n"
       "                       [--deadline-ms N] [--priority high|low]\n"
       "                       [--repeat K] [--db file.gdb] "
       "[--resident-mb M]\n"
@@ -256,10 +252,10 @@ int RunSubscribe(sim::QueryService& service,
     const sim::StandingStats st = subs[s]->stats();
     std::printf("q%03zu: %zu applies (%zu no-op), %zu maintained / %zu "
                 "recomputed / %zu untouched branches, %zu/%zu ineqs armed, "
-                "%zu carried entries, %.4fs maintaining\n",
+                "%.4fs maintaining\n",
                 s, st.applies, st.noop_applies, st.maintained, st.recomputed,
                 st.untouched_branches, st.armed_ineqs, st.total_ineqs,
-                st.carried_entries, st.maintain_seconds);
+                st.maintain_seconds);
   }
   return 0;
 }
@@ -368,14 +364,6 @@ int Run(int argc, char** argv) {
     }
     if (std::strcmp(argv[i], "--no-cache") == 0) {
       options.solver.cache_sois = options.solver.cache_solutions = false;
-      continue;
-    }
-    if (std::strcmp(argv[i], "--incremental") == 0) {
-      options.solver.incremental_eval = true;
-      continue;
-    }
-    if (std::strcmp(argv[i], "--no-incremental") == 0) {
-      options.solver.incremental_eval = false;
       continue;
     }
     if (std::strncmp(argv[i], "--", 2) == 0) return Usage();

@@ -19,9 +19,6 @@
 //                 re-enables; on by default).
 //   --cache-capacity N  bound each cache layer to N entries (LRU
 //                 eviction); 0 = unbounded (the default).
-//   --no-incremental  disable delta-driven incremental fixpoint evaluation
-//                 (--incremental re-enables; on by default). Purely a
-//                 wall-clock knob: results are bit-identical either way.
 //   --deadline-ms N  per-query compute budget for sim/prune; an expired
 //                 query stops at the next round boundary and reports a
 //                 sound over-approximation (marked "truncated").
@@ -77,7 +74,7 @@ namespace {
 int Usage() {
   std::fprintf(stderr,
                "usage: sparqlsim [--threads N] [--cache|--no-cache] "
-               "[--cache-capacity N] [--incremental|--no-incremental] "
+               "[--cache-capacity N] "
                "[--deadline-ms N] [--priority high|low] "
                "[--db file.gdb] [--resident-mb M] "
                "<stats|query|prune|sim|bench|explain|convert> "
@@ -330,14 +327,6 @@ int Run(int argc, char** argv) {
     }
     if (std::strcmp(argv[i], "--no-cache") == 0) {
       options.cache_sois = options.cache_solutions = false;
-      continue;
-    }
-    if (std::strcmp(argv[i], "--incremental") == 0) {
-      options.incremental_eval = true;
-      continue;
-    }
-    if (std::strcmp(argv[i], "--no-incremental") == 0) {
-      options.incremental_eval = false;
       continue;
     }
     if (std::strcmp(argv[i], "--deadline-ms") == 0) {
