@@ -1,6 +1,7 @@
 #include "sim/query_service.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "sparql/normalize.h"
@@ -110,15 +111,14 @@ std::future<PruneReport> QueryService::Submit(const sparql::Query& query,
   // extraction, so the submitting thread answers it. On a worker it would
   // cost two thread wake-ups for well under a millisecond of work, and on a
   // loaded host those wake-ups, not the work, would set the rate of hits.
-  if (context->engine.SolutionsCached(query)) {
-    PruneReport report = context->engine.Prune(query);
+  if (std::optional<PruneReport> report = context->engine.PruneCached(query)) {
     {
       std::lock_guard<std::mutex> lock(mutex_);
       ++executed_;
       context.reset();
       SweepSnapshotsLocked();
     }
-    promise.set_value(std::move(report));
+    promise.set_value(std::move(*report));
     return future;
   }
   // Unpinned while waiting for a slot: a blocked producer must not keep a

@@ -132,14 +132,35 @@ bool SimEngine::CachesSolutions() const {
          options_.cache_solutions && options_.max_rounds == 0;
 }
 
-bool SimEngine::SolutionsCached(const sparql::Query& query) const {
-  if (!CachesSolutions()) return false;
-  const uint64_t generation = db_->generation();
-  for (const auto& branch : sparql::UnionNormalForm(*query.where)) {
-    const std::string key = sparql::CanonicalPatternKey(*branch);
-    if (!cache_->HasSolution(generation, key)) return false;
+std::optional<PruneReport> SimEngine::PruneCached(
+    const sparql::Query& query) const {
+  if (!CachesSolutions()) return std::nullopt;
+  util::Stopwatch timer;
+  const std::vector<std::unique_ptr<sparql::Pattern>> branches =
+      sparql::UnionNormalForm(*query.where);
+  std::vector<std::string> keys;
+  keys.reserve(branches.size());
+  for (const auto& branch : branches) {
+    keys.push_back(sparql::CanonicalPatternKey(*branch));
   }
-  return true;
+  std::vector<SoiCache::Solved> solved =
+      cache_->FindAllSolved(db_->generation(), keys);
+  if (solved.empty()) return std::nullopt;
+
+  graph::ResidencyPin residency_pin = db_->PinResidency();
+  std::vector<BranchOutcome> outcomes(solved.size());
+  util::ParallelFor(solved.size() > 1 ? pool_.get() : nullptr, solved.size(),
+                    [&](size_t i) {
+                      BranchOutcome& out = outcomes[i];
+                      out.soi = std::move(solved[i].soi);
+                      out.solution = std::move(solved[i].solution);
+                      out.solution_from_cache = true;
+                      ExtractBranchTriples(*out.soi, *out.solution, *db_,
+                                           &out.kept);
+                    });
+  PruneReport report = MergeOutcomes(outcomes);
+  report.total_seconds = timer.ElapsedSeconds();
+  return report;
 }
 
 Solution SimEngine::SolvePattern(const sparql::Pattern& union_free_pattern,
@@ -154,12 +175,9 @@ PruneReport SimEngine::Prune(const sparql::Query& query,
   // Keeps lazily-loaded matrix slabs resident across every branch solve and
   // the triple-extraction passes between them.
   graph::ResidencyPin residency_pin = db_->PinResidency();
-  PruneReport report;
-  report.snapshot_generation = db_->generation();
 
   std::vector<std::unique_ptr<sparql::Pattern>> branches =
       sparql::UnionNormalForm(*query.where);
-  report.num_branches = branches.size();
 
   // Branch batch: every union-free branch builds/fetches its SOI, solves,
   // and extracts its triples as one pool task; a branch's fixpoint rounds
@@ -171,6 +189,17 @@ PruneReport SimEngine::Prune(const sparql::Query& query,
   };
   util::ParallelFor(branches.size() > 1 ? pool_.get() : nullptr,
                     branches.size(), run_branch);
+
+  PruneReport report = MergeOutcomes(outcomes);
+  report.total_seconds = timer.ElapsedSeconds();
+  return report;
+}
+
+PruneReport SimEngine::MergeOutcomes(
+    std::span<const BranchOutcome> outcomes) const {
+  PruneReport report;
+  report.snapshot_generation = db_->generation();
+  report.num_branches = outcomes.size();
 
   // ---- Single-writer merge point. ----------------------------------------
   // ParallelFor is a barrier, so all branch work is done; only the
@@ -196,8 +225,6 @@ PruneReport SimEngine::Prune(const sparql::Query& query,
         {outcome.soi.get(), outcome.solution.get(), &outcome.kept});
   }
   MergeBranches(results, &report);
-
-  report.total_seconds = timer.ElapsedSeconds();
   return report;
 }
 

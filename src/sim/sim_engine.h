@@ -2,6 +2,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -159,11 +160,13 @@ class SimEngine {
   PruneReport Prune(const sparql::Query& query,
                     const SolveControl* control = nullptr) const;
 
-  /// True iff the solution of every union-free branch of `query` is cached
-  /// for this database, so Prune(query) only extracts triples (unless an
-  /// entry is evicted before it runs; it then solves as usual). Counts
-  /// nothing in the cache stats.
-  bool SolutionsCached(const sparql::Query& query) const;
+  /// Prune(query) for a query whose union-free branches all have their
+  /// solutions cached for this database: no solve, only triple extraction
+  /// and the merge, with the cache stats counting the hits Prune would.
+  /// Returns nullopt, having counted nothing, when some branch's solution
+  /// is not cached or the engine does not cache solutions; the caller then
+  /// runs Prune.
+  std::optional<PruneReport> PruneCached(const sparql::Query& query) const;
 
  private:
   struct BranchOutcome {
@@ -179,6 +182,10 @@ class SimEngine {
   BranchOutcome ProcessBranch(const sparql::Pattern& branch,
                               bool extract_triples,
                               const SolveControl* control) const;
+
+  /// The report of the branches' outcomes, in branch order; the caller
+  /// sets total_seconds.
+  PruneReport MergeOutcomes(std::span<const BranchOutcome> outcomes) const;
 
   const graph::GraphDatabase* db_;
   SolverOptions options_;

@@ -116,10 +116,25 @@ std::shared_ptr<const Solution> SoiCache::FindSolution(uint64_t generation,
   return entry->solution;
 }
 
-bool SoiCache::HasSolution(uint64_t generation, const std::string& key) const {
+std::vector<SoiCache::Solved> SoiCache::FindAllSolved(
+    uint64_t generation, std::span<const std::string> keys) {
   std::lock_guard<std::mutex> lock(mutex_);
-  auto it = entries_.find(MakeKey(generation, key));
-  return it != entries_.end() && it->second.solution != nullptr;
+  std::vector<std::unordered_map<std::string, Entry>::iterator> found;
+  found.reserve(keys.size());
+  for (const std::string& key : keys) {
+    auto it = entries_.find(MakeKey(generation, key));
+    if (it == entries_.end() || it->second.solution == nullptr) return {};
+    found.push_back(it);
+  }
+  std::vector<Solved> solved;
+  solved.reserve(found.size());
+  for (auto it : found) {
+    lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
+    solved.push_back({it->second.soi, it->second.solution});
+  }
+  stats_.soi_hits += solved.size();
+  stats_.solution_hits += solved.size();
+  return solved;
 }
 
 std::shared_ptr<const Solution> SoiCache::InsertSolution(

@@ -7,6 +7,7 @@
 #include <span>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "sim/soi.h"
 #include "sim/solver.h"
@@ -97,9 +98,18 @@ class SoiCache {
   std::shared_ptr<const Solution> FindSolution(uint64_t generation,
                                                const std::string& key,
                                                const Soi* solved_on);
-  /// True iff (generation, key) holds an attached solution. A probe, not a
-  /// lookup: it counts nothing and leaves the recency order alone.
-  bool HasSolution(uint64_t generation, const std::string& key) const;
+  /// A cached SOI with the solution solved on it.
+  struct Solved {
+    std::shared_ptr<const Soi> soi;
+    std::shared_ptr<const Solution> solution;
+  };
+  /// All-or-nothing lookup under one lock: when every key of `keys` holds
+  /// an attached solution at `generation`, returns the pairs in key order,
+  /// counting a SOI hit and a solution hit per key and refreshing each
+  /// entry's recency, as FindSoi + FindSolution would. Otherwise returns
+  /// an empty vector and counts nothing.
+  std::vector<Solved> FindAllSolved(uint64_t generation,
+                                    std::span<const std::string> keys);
   /// Attaches `solution` (solved on `solved_on`) to its SOI's entry and
   /// returns the canonical cached value. If the entry is gone or now holds
   /// a different SOI instance, the solution is returned un-cached — never

@@ -13,11 +13,14 @@
 #include "datagen/movies.h"
 #include "datagen/random_graphs.h"
 #include "graph/ntriples.h"
+#include "temp_path.h"
 #include "util/fnv1a.h"
 #include "util/rng.h"
 
 namespace sparqlsim::graph {
 namespace {
+
+using sparqlsim_test::TempPath;
 
 void ExpectSameDatabase(const GraphDatabase& a, const GraphDatabase& b) {
   ASSERT_EQ(a.NumNodes(), b.NumNodes());
@@ -199,7 +202,7 @@ TEST(BinaryIoTest, RejectsTruncation) {
 
 TEST(BinaryIoTest, FileRoundTrip) {
   GraphDatabase db = datagen::MakeMovieDatabase();
-  const std::string path = "/tmp/sparqlsim_binary_io_test.gdb";
+  const std::string path = TempPath("binary_io_test.gdb");
   ASSERT_TRUE(BinaryIo::SaveFile(db, path).ok());
   auto loaded = BinaryIo::LoadFile(path);
   ASSERT_TRUE(loaded.ok()) << loaded.error_message();
@@ -294,7 +297,7 @@ TEST(BinaryIoV2Test, FileWriterThreadCountNeverChangesTheBytes) {
   for (size_t threads : {size_t{0}, size_t{1}, size_t{2}, size_t{4},
                          size_t{8}}) {
     const std::string path =
-        "/tmp/sparqlsim_v2_threads_" + std::to_string(threads) + ".gdb";
+        TempPath("v2_threads_" + std::to_string(threads) + ".gdb");
     ASSERT_TRUE(BinaryIo::SaveV2File(db, path, threads).ok());
     std::ifstream in(path, std::ios::binary);
     std::ostringstream bytes;
@@ -307,7 +310,7 @@ TEST(BinaryIoV2Test, LazyAndEagerFileOpensMatchV1) {
   datagen::LubmConfig config;
   config.num_universities = 1;
   GraphDatabase db = datagen::MakeLubmDatabase(config);
-  const std::string path = "/tmp/sparqlsim_v2_file_test.gdb";
+  const std::string path = TempPath("v2_file_test.gdb");
   ASSERT_TRUE(BinaryIo::SaveV2File(db, path).ok());
 
   auto lazy = BinaryIo::LoadFile(path);
@@ -455,7 +458,7 @@ TEST(BinaryIoV3Test, FrozenV2FixtureLoadsLikeV1AndV3) {
   const std::string fixture =
       std::string(SPARQLSIM_TEST_DATA_DIR) + "/movies_v2.gdb";
   ASSERT_EQ(ReadFileBytes(fixture).substr(0, 8), "SQSIMDB2");
-  const std::string v3_path = "/tmp/sparqlsim_fixture_v3.gdb";
+  const std::string v3_path = TempPath("fixture_v3.gdb");
   ASSERT_TRUE(BinaryIo::SaveV2File(db, v3_path).ok());
   ASSERT_EQ(ReadFileBytes(v3_path).substr(0, 8), "SQSIMDB3");
 
@@ -481,7 +484,7 @@ TEST(BinaryIoV3Test, FrozenV2FixtureLoadsLikeV1AndV3) {
 
 TEST(BinaryIoV3Test, MappedDictionaryOutlivesTheOpenedDatabase) {
   GraphDatabase db = FixtureGraph();
-  const std::string path = "/tmp/sparqlsim_v3_outlive.gdb";
+  const std::string path = TempPath("v3_outlive.gdb");
   ASSERT_TRUE(BinaryIo::SaveV2File(db, path).ok());
   std::optional<GraphDatabase> opened(BinaryIo::LoadFile(path).value());
   GraphDatabase restricted = opened->Restrict({});
@@ -576,7 +579,7 @@ void ExpectRejected(const std::string& bytes, const std::string& what) {
   ASSERT_FALSE(streamed.ok());
   EXPECT_NE(streamed.error_message().find(what), std::string::npos)
       << streamed.error_message();
-  const std::string path = "/tmp/sparqlsim_v3_hostile.gdb";
+  const std::string path = TempPath("v3_hostile.gdb");
   {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out << bytes;
@@ -700,7 +703,7 @@ TEST(BinaryIoV3Test, SeededMutationsFailCleanlyOrReloadIdentically) {
               static_cast<unsigned long long>(kSeed), kIterations);
   GraphDatabase db = FixtureGraph();
   const std::string original = SaveV2Bytes(db);
-  const std::string path = "/tmp/sparqlsim_v3_mutant.gdb";
+  const std::string path = TempPath("v3_mutant.gdb");
   BinaryIo::LoadOptions eager;
   eager.eager = true;
   util::Rng rng(kSeed);

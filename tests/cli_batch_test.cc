@@ -9,10 +9,12 @@
 #include <string>
 
 #include "cli_test_common.h"
+#include "temp_path.h"
 
 namespace {
 
 using sparqlsim_test::RunCommand;
+using sparqlsim_test::TempPath;
 
 class CliBatchTest : public ::testing::Test {
  protected:
@@ -41,12 +43,8 @@ class CliBatchTest : public ::testing::Test {
       ASSERT_TRUE(out.good());
     }
   }
-  static std::string NtPath() {
-    return ::testing::TempDir() + "sparqlsim_batch.nt";
-  }
-  static std::string QueriesPath() {
-    return ::testing::TempDir() + "sparqlsim_batch_queries.rq";
-  }
+  static std::string NtPath() { return TempPath("batch.nt"); }
+  static std::string QueriesPath() { return TempPath("batch_queries.rq"); }
   static std::string Batch() { return std::string(SPARQLSIM_BATCH); }
 };
 
@@ -129,7 +127,7 @@ TEST_F(CliBatchTest, NoCacheDisablesTheCacheEntirely) {
 }
 
 TEST_F(CliBatchTest, BadQueryFileFailsLoudly) {
-  std::string bad = ::testing::TempDir() + "sparqlsim_batch_bad.rq";
+  std::string bad = TempPath("batch_bad.rq");
   {
     std::ofstream out(bad);
     out << "SELECT * WHERE { this is not sparql\n";
@@ -165,9 +163,24 @@ TEST_F(CliBatchTest, MalformedSizeFlagsAreUsageErrors) {
   }
 }
 
+TEST_F(CliBatchTest, MalformedResidentMbEnvIsAUsageError) {
+  for (const char* value : {"abc", "17592186044416", "-1"}) {
+    int code = 0;
+    RunCommand(std::string("SPARQLSIM_RESIDENT_MB=") + value + " " + Batch() +
+                   " " + NtPath() + " " + QueriesPath(),
+               &code);
+    EXPECT_EQ(code, 2) << value;
+  }
+  int code = 0;
+  RunCommand("SPARQLSIM_RESIDENT_MB=1 " + Batch() + " " + NtPath() + " " +
+                 QueriesPath(),
+             &code);
+  EXPECT_EQ(code, 0);
+}
+
 TEST_F(CliBatchTest, UnionExpansionBeyondTheLimitIsAParseError) {
   // 2^20 union-free branches: rejected while loading the query file.
-  std::string path = ::testing::TempDir() + "sparqlsim_batch_unions.rq";
+  std::string path = TempPath("batch_unions.rq");
   {
     std::ofstream out(path);
     out << "SELECT * WHERE { ";

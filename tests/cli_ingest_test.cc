@@ -13,11 +13,13 @@
 #include <string>
 
 #include "cli_test_common.h"
+#include "temp_path.h"
 
 namespace sparqlsim {
 namespace {
 
 using sparqlsim_test::RunCommand;
+using sparqlsim_test::TempPath;
 
 std::string ReadFileBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -31,75 +33,72 @@ class CliIngestTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     int exit_code = 0;
-    RunCommand(std::string(SPARQLSIM_DATAGEN) + " lubm 1 > " + kNt,
+    RunCommand(std::string(SPARQLSIM_DATAGEN) + " lubm 1 > " + Nt(),
                &exit_code);
     ASSERT_EQ(exit_code, 0);
   }
 
-  static constexpr const char* kNt = "/tmp/sparqlsim_ingest_test.nt";
+  static std::string Nt() { return TempPath("ingest_test.nt"); }
 };
 
 TEST_F(CliIngestTest, ThreadCountsProduceIdenticalBinaries) {
   int exit_code = 0;
-  RunCommand(std::string(SPARQLSIM_INGEST) + " --threads 1 " + kNt +
-                 " /tmp/sparqlsim_ingest_t1.gdb",
+  const std::string t1_path = TempPath("ingest_t1.gdb");
+  const std::string t8_path = TempPath("ingest_t8.gdb");
+  RunCommand(std::string(SPARQLSIM_INGEST) + " --threads 1 " + Nt() + " " +
+                 t1_path,
              &exit_code);
   ASSERT_EQ(exit_code, 0);
   RunCommand(std::string(SPARQLSIM_INGEST) +
-                 " --threads 8 --chunk-mb 1 " + kNt +
-                 " /tmp/sparqlsim_ingest_t8.gdb",
+                 " --threads 8 --chunk-mb 1 " + Nt() + " " + t8_path,
              &exit_code);
   ASSERT_EQ(exit_code, 0);
 
-  std::string t1 = ReadFileBytes("/tmp/sparqlsim_ingest_t1.gdb");
-  std::string t8 = ReadFileBytes("/tmp/sparqlsim_ingest_t8.gdb");
+  std::string t1 = ReadFileBytes(t1_path);
+  std::string t8 = ReadFileBytes(t8_path);
   ASSERT_FALSE(t1.empty());
   EXPECT_EQ(t1, t8);
 }
 
 TEST_F(CliIngestTest, GzipInputMatchesPlain) {
   int exit_code = 0;
-  RunCommand(std::string("gzip -c ") + kNt +
-                 " > /tmp/sparqlsim_ingest_test.nt.gz",
+  const std::string gz = TempPath("ingest_test.nt.gz");
+  const std::string gz_gdb = TempPath("ingest_gz.gdb");
+  const std::string plain_gdb = TempPath("ingest_plain.gdb");
+  RunCommand(std::string("gzip -c ") + Nt() + " > " + gz, &exit_code);
+  ASSERT_EQ(exit_code, 0);
+  RunCommand(std::string(SPARQLSIM_INGEST) + " " + gz + " " + gz_gdb,
              &exit_code);
   ASSERT_EQ(exit_code, 0);
-  RunCommand(std::string(SPARQLSIM_INGEST) +
-                 " /tmp/sparqlsim_ingest_test.nt.gz "
-                 "/tmp/sparqlsim_ingest_gz.gdb",
+  RunCommand(std::string(SPARQLSIM_INGEST) + " " + Nt() + " " + plain_gdb,
              &exit_code);
   ASSERT_EQ(exit_code, 0);
-  RunCommand(std::string(SPARQLSIM_INGEST) + " " + kNt +
-                 " /tmp/sparqlsim_ingest_plain.gdb",
-             &exit_code);
-  ASSERT_EQ(exit_code, 0);
-  EXPECT_EQ(ReadFileBytes("/tmp/sparqlsim_ingest_gz.gdb"),
-            ReadFileBytes("/tmp/sparqlsim_ingest_plain.gdb"));
+  EXPECT_EQ(ReadFileBytes(gz_gdb), ReadFileBytes(plain_gdb));
 }
 
 TEST_F(CliIngestTest, CliRunsOnIngestedDatabase) {
   int exit_code = 0;
-  RunCommand(std::string(SPARQLSIM_INGEST) + " " + kNt +
-                 " /tmp/sparqlsim_ingest_cli.gdb",
+  const std::string gdb = TempPath("ingest_cli.gdb");
+  RunCommand(std::string(SPARQLSIM_INGEST) + " " + Nt() + " " + gdb,
              &exit_code);
   ASSERT_EQ(exit_code, 0);
 
   std::string stats = RunCommand(
-      std::string(SPARQLSIM_CLI) + " --db /tmp/sparqlsim_ingest_cli.gdb "
-                                   "stats",
-      &exit_code);
+      std::string(SPARQLSIM_CLI) + " --db " + gdb + " stats", &exit_code);
   EXPECT_EQ(exit_code, 0);
   EXPECT_NE(stats.find("triples:"), std::string::npos);
 
   std::string sim = RunCommand(
       std::string("echo 'SELECT * WHERE { ?x <rdf:type> <University> . }' | ") +
-          SPARQLSIM_CLI + " --db /tmp/sparqlsim_ingest_cli.gdb sim -",
+          SPARQLSIM_CLI + " --db " + gdb + " sim -",
       &exit_code);
   EXPECT_EQ(exit_code, 0);
   EXPECT_NE(sim.find("?x: 1 candidates"), std::string::npos) << sim;
 }
 
 TEST_F(CliIngestTest, PermissiveModeReportsSkippedLines) {
-  const char* dirty = "/tmp/sparqlsim_ingest_dirty.nt";
+  const std::string dirty = TempPath("ingest_dirty.nt");
+  const std::string dirty_gdb = TempPath("ingest_dirty.gdb");
   {
     std::ofstream out(dirty);
     out << "<a> <p> <b> .\n"
@@ -108,14 +107,13 @@ TEST_F(CliIngestTest, PermissiveModeReportsSkippedLines) {
   }
   int exit_code = 0;
   // Strict mode fails...
-  RunCommand(std::string(SPARQLSIM_INGEST) + " " + dirty +
-                 " /tmp/sparqlsim_ingest_dirty.gdb",
+  RunCommand(std::string(SPARQLSIM_INGEST) + " " + dirty + " " + dirty_gdb,
              &exit_code);
   EXPECT_NE(exit_code, 0);
   // ...permissive mode converts and counts.
   std::string output = RunCommand(
-      std::string(SPARQLSIM_INGEST) + " --permissive --stats " + dirty +
-          " /tmp/sparqlsim_ingest_dirty.gdb",
+      std::string(SPARQLSIM_INGEST) + " --permissive --stats " + dirty + " " +
+          dirty_gdb,
       &exit_code);
   EXPECT_EQ(exit_code, 0);
   EXPECT_NE(output.find("malformed lines:  1"), std::string::npos) << output;
@@ -128,8 +126,8 @@ TEST_F(CliIngestTest, RejectsUsageErrors) {
   EXPECT_EQ(exit_code, 2);
   RunCommand(std::string(SPARQLSIM_INGEST) + " --bogus a b", &exit_code);
   EXPECT_EQ(exit_code, 2);
-  RunCommand(std::string(SPARQLSIM_INGEST) + " /nonexistent/in.nt "
-                                             "/tmp/out.gdb",
+  RunCommand(std::string(SPARQLSIM_INGEST) + " /nonexistent/in.nt " +
+                 TempPath("out.gdb"),
              &exit_code);
   EXPECT_EQ(exit_code, 1);
   RunCommand(std::string(SPARQLSIM_INGEST) + " --format v3 a b", &exit_code);
@@ -143,14 +141,14 @@ TEST_F(CliIngestTest, MalformedSizeFlagsAreUsageErrors) {
        {"--threads=abc", "--threads abc", "--threads -1", "--chunk-mb abc",
         "--chunk-mb=8k", "--chunk-mb 17592186044416", "--chunk-mb"}) {
     int exit_code = 0;
-    RunCommand(std::string(SPARQLSIM_INGEST) + " " + flags + " " + kNt +
-                   " /tmp/sparqlsim_ingest_badflag.gdb",
+    RunCommand(std::string(SPARQLSIM_INGEST) + " " + flags + " " + Nt() +
+                   " " + TempPath("ingest_badflag.gdb"),
                &exit_code);
     EXPECT_EQ(exit_code, 2) << flags;
   }
   int exit_code = 0;
   RunCommand(std::string(SPARQLSIM_INGEST) + " --threads=2 --chunk-mb=1 " +
-                 kNt + " /tmp/sparqlsim_ingest_goodflag.gdb",
+                 Nt() + " " + TempPath("ingest_goodflag.gdb"),
              &exit_code);
   EXPECT_EQ(exit_code, 0);
 }
@@ -163,23 +161,20 @@ TEST_F(CliIngestTest, MalformedSizeFlagsAreUsageErrors) {
 // worse, an old stale file survived as if it were the new conversion).
 TEST_F(CliIngestTest, TruncatedGzipFailsWithoutOutput) {
   int exit_code = 0;
-  RunCommand(std::string("gzip -c ") + kNt +
-                 " > /tmp/sparqlsim_ingest_trunc_full.nt.gz",
-             &exit_code);
+  const std::string full = TempPath("ingest_trunc_full.nt.gz");
+  const std::string truncated = TempPath("ingest_trunc.nt.gz");
+  RunCommand(std::string("gzip -c ") + Nt() + " > " + full, &exit_code);
   ASSERT_EQ(exit_code, 0);
   // Chop the archive mid-stream.
-  RunCommand(
-      "head -c 2000 /tmp/sparqlsim_ingest_trunc_full.nt.gz "
-      "> /tmp/sparqlsim_ingest_trunc.nt.gz",
-      &exit_code);
+  RunCommand("head -c 2000 " + full + " > " + truncated, &exit_code);
   ASSERT_EQ(exit_code, 0);
 
-  const char* out = "/tmp/sparqlsim_ingest_trunc.gdb";
-  std::remove(out);
+  const std::string out = TempPath("ingest_trunc.gdb");
+  std::remove(out.c_str());
   // RunCommand silences stderr; the subshell folds it into stdout first.
   std::string output = RunCommand(
       std::string("( ") + SPARQLSIM_INGEST +
-          " --permissive /tmp/sparqlsim_ingest_trunc.nt.gz " + out +
+          " --permissive " + truncated + " " + out +
           " 2>&1 )",
       &exit_code);
   EXPECT_NE(exit_code, 0) << output;
@@ -191,18 +186,20 @@ TEST_F(CliIngestTest, TruncatedGzipFailsWithoutOutput) {
 
 TEST_F(CliIngestTest, FormatV2RoundTripsThroughTheCli) {
   int exit_code = 0;
+  const std::string t1_path = TempPath("ingest_v2_t1.gdb");
+  const std::string t8_path = TempPath("ingest_v2_t8.gdb");
   RunCommand(std::string(SPARQLSIM_INGEST) + " --format v2 --threads 1 " +
-                 kNt + " /tmp/sparqlsim_ingest_v2_t1.gdb",
+                 Nt() + " " + t1_path,
              &exit_code);
   ASSERT_EQ(exit_code, 0);
   RunCommand(std::string(SPARQLSIM_INGEST) + " --format=v2 --threads 8 " +
-                 kNt + " /tmp/sparqlsim_ingest_v2_t8.gdb",
+                 Nt() + " " + t8_path,
              &exit_code);
   ASSERT_EQ(exit_code, 0);
 
   // The v2 writer is deterministic across thread counts, like v1.
-  std::string t1 = ReadFileBytes("/tmp/sparqlsim_ingest_v2_t1.gdb");
-  std::string t8 = ReadFileBytes("/tmp/sparqlsim_ingest_v2_t8.gdb");
+  std::string t1 = ReadFileBytes(t1_path);
+  std::string t8 = ReadFileBytes(t8_path);
   ASSERT_FALSE(t1.empty());
   EXPECT_EQ(t1, t8);
   // --format v2 names the lazily loadable layout; its writer emits the
@@ -216,8 +213,7 @@ TEST_F(CliIngestTest, FormatV2RoundTripsThroughTheCli) {
     std::string sim = RunCommand(
         std::string("echo 'SELECT * WHERE { ?x <rdf:type> <University> . }'"
                     " | ") +
-            env + SPARQLSIM_CLI +
-            " --db /tmp/sparqlsim_ingest_v2_t1.gdb sim -",
+            env + SPARQLSIM_CLI + " --db " + t1_path + " sim -",
         &exit_code);
     EXPECT_EQ(exit_code, 0) << "env: " << env;
     EXPECT_NE(sim.find("?x: 1 candidates"), std::string::npos)
@@ -225,8 +221,8 @@ TEST_F(CliIngestTest, FormatV2RoundTripsThroughTheCli) {
   }
   // The --resident-mb flag takes the same path as the env knob.
   std::string stats = RunCommand(
-      std::string(SPARQLSIM_CLI) +
-          " --resident-mb 1 --db /tmp/sparqlsim_ingest_v2_t1.gdb stats",
+      std::string(SPARQLSIM_CLI) + " --resident-mb 1 --db " + t1_path +
+          " stats",
       &exit_code);
   EXPECT_EQ(exit_code, 0);
   EXPECT_NE(stats.find("triples:"), std::string::npos);

@@ -10,10 +10,12 @@
 #include <string>
 
 #include "cli_test_common.h"
+#include "temp_path.h"
 
 namespace {
 
 using sparqlsim_test::RunCommand;
+using sparqlsim_test::TempPath;
 
 class CliSmokeTest : public ::testing::Test {
  protected:
@@ -25,9 +27,7 @@ class CliSmokeTest : public ::testing::Test {
            "<dave> <likes> <carol> .\n";
     ASSERT_TRUE(out.good());
   }
-  static std::string NtPath() {
-    return ::testing::TempDir() + "sparqlsim_cli_smoke.nt";
-  }
+  static std::string NtPath() { return TempPath("cli_smoke.nt"); }
 };
 
 TEST_F(CliSmokeTest, QueryEvaluatesInlineDatabase) {
@@ -59,7 +59,7 @@ TEST_F(CliSmokeTest, SimReportsCandidates) {
 
 TEST_F(CliSmokeTest, PruneDropsUnmatchedTriples) {
   int code = 0;
-  std::string pruned_path = ::testing::TempDir() + "sparqlsim_cli_smoke_pruned.nt";
+  std::string pruned_path = TempPath("cli_smoke_pruned.nt");
   RunCommand("echo 'SELECT * WHERE { ?x <knows> ?y . }' | " +
                  std::string(SPARQLSIM_CLI) + " prune " + NtPath() + " - " +
                  pruned_path,

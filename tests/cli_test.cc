@@ -8,10 +8,12 @@
 #include <string>
 
 #include "cli_test_common.h"
+#include "temp_path.h"
 
 namespace {
 
 using sparqlsim_test::RunCommand;
+using sparqlsim_test::TempPath;
 
 class CliTest : public ::testing::Test {
  protected:
@@ -20,10 +22,8 @@ class CliTest : public ::testing::Test {
     RunCommand(std::string(SPARQLSIM_DATAGEN) + " movies > " + NtPath(), &code);
     ASSERT_EQ(code, 0);
   }
-  static std::string NtPath() { return "/tmp/sparqlsim_cli_test_movies.nt"; }
-  static std::string GdbPath() {
-    return "/tmp/sparqlsim_cli_test_movies.gdb";
-  }
+  static std::string NtPath() { return TempPath("cli_test_movies.nt"); }
+  static std::string GdbPath() { return TempPath("cli_test_movies.gdb"); }
 };
 
 TEST_F(CliTest, DatagenWritesTriples) {
@@ -67,7 +67,7 @@ TEST_F(CliTest, SimCommand) {
 
 TEST_F(CliTest, PruneCommandWritesOutput) {
   int code = 0;
-  std::string pruned_path = "/tmp/sparqlsim_cli_test_pruned.nt";
+  std::string pruned_path = TempPath("cli_test_pruned.nt");
   RunCommand("echo 'SELECT * WHERE { ?d <directed> ?m . ?d <worked_with> ?c . }' "
       "| " +
           std::string(SPARQLSIM_CLI) + " prune " + NtPath() + " - " +
@@ -144,14 +144,14 @@ TEST_F(CliTest, RemovedIncrementalFlagsAreUsageErrors) {
     int code = 0;
     RunCommand("echo 'SELECT * WHERE { ?d <directed> ?m . }' | " +
                    std::string(SPARQLSIM_CLI) + " " + flag + " prune " +
-                   NtPath() + " - /tmp/sparqlsim_cli_test_flag.nt",
+                   NtPath() + " - " + TempPath("cli_test_flag.nt"),
                &code);
     EXPECT_EQ(code, 2) << flag;
   }
 }
 
 TEST_F(CliTest, HostileNestingIsAParseErrorNotACrash) {
-  const std::string path = "/tmp/sparqlsim_cli_test_deep.rq";
+  const std::string path = TempPath("cli_test_deep.rq");
   {
     std::ofstream out(path);
     out << "SELECT * WHERE ";
@@ -166,7 +166,7 @@ TEST_F(CliTest, HostileNestingIsAParseErrorNotACrash) {
 }
 
 TEST_F(CliTest, HostileSiblingGroupsAreAParseErrorNotACrash) {
-  const std::string path = "/tmp/sparqlsim_cli_test_siblings.rq";
+  const std::string path = TempPath("cli_test_siblings.rq");
   {
     std::ofstream out(path);
     out << "SELECT * WHERE { ";
@@ -177,7 +177,7 @@ TEST_F(CliTest, HostileSiblingGroupsAreAParseErrorNotACrash) {
     int code = 0;
     std::string args = NtPath() + " " + path;
     if (std::string(command) == " prune ") {
-      args += " /tmp/sparqlsim_cli_test_siblings.nt";
+      args += " " + TempPath("cli_test_siblings.nt");
     }
     RunCommand(std::string(SPARQLSIM_CLI) + command + args, &code);
     EXPECT_EQ(code, 1) << command;  // a parse error, not a signal (-1)
@@ -188,7 +188,7 @@ TEST_F(CliTest, UnionExpansionBeyondTheLimitIsAPromptParseError) {
   // 20 juxtaposed UNION groups expand to 2^20 union-free branches; the
   // parser rejects the query before anything enumerates them. `timeout`
   // turns a hang into exit 124 instead of a stuck suite.
-  const std::string path = "/tmp/sparqlsim_cli_test_unions.rq";
+  const std::string path = TempPath("cli_test_unions.rq");
   {
     std::ofstream out(path);
     out << "SELECT * WHERE { ";
@@ -201,7 +201,7 @@ TEST_F(CliTest, UnionExpansionBeyondTheLimitIsAPromptParseError) {
     int code = 0;
     std::string args = NtPath() + " " + path;
     if (std::string(command) == " prune ") {
-      args += " /tmp/sparqlsim_cli_test_unions.nt";
+      args += " " + TempPath("cli_test_unions.nt");
     }
     RunCommand("timeout 20 " + std::string(SPARQLSIM_CLI) + command + args,
                &code);
@@ -229,6 +229,72 @@ TEST_F(CliTest, MalformedSizeFlagsAreUsageErrors) {
                  " --resident-mb 17592186044415 --threads 1 stats " + NtPath(),
              &code);
   EXPECT_EQ(code, 0);
+}
+
+TEST_F(CliTest, MalformedResidentMbEnvIsAUsageError) {
+  // SPARQLSIM_RESIDENT_MB follows --resident-mb's rules. Read with strtoull
+  // it took "abc" as 0 (unbounded) and let 2^44 MiB wrap to a 0-byte
+  // budget.
+  const std::string gdb =
+      std::string(SPARQLSIM_TEST_DATA_DIR) + "/movies_v2.gdb";
+  for (const char* value : {"abc", "17592186044416", "-1", "12x", "' 4'"}) {
+    int code = 0;
+    RunCommand(std::string("SPARQLSIM_RESIDENT_MB=") + value + " " +
+                   SPARQLSIM_CLI + " --db " + gdb + " stats",
+               &code);
+    EXPECT_EQ(code, 2) << value;
+  }
+  int code = 0;
+  RunCommand("SPARQLSIM_RESIDENT_MB=17592186044415 " +
+                 std::string(SPARQLSIM_CLI) + " --db " + gdb + " stats",
+             &code);
+  EXPECT_EQ(code, 0);
+  // The flag wins over the environment.
+  RunCommand("SPARQLSIM_RESIDENT_MB=abc " + std::string(SPARQLSIM_CLI) +
+                 " --resident-mb 1 --db " + gdb + " stats",
+             &code);
+  EXPECT_EQ(code, 0);
+}
+
+TEST_F(CliTest, EqualsFormFlagsMatchSeparateValues) {
+  const std::string query =
+      "echo 'SELECT * WHERE { ?d <directed> ?m . ?d <worked_with> ?c . }' | ";
+  int code = 0;
+  const std::string separate = RunCommand(
+      query + SPARQLSIM_CLI +
+          " --threads 1 --cache-capacity 4 --deadline-ms 60000 "
+          "--priority low sim " +
+          NtPath() + " -",
+      &code);
+  EXPECT_EQ(code, 0);
+  const std::string joined = RunCommand(
+      query + SPARQLSIM_CLI +
+          " --threads=1 --cache-capacity=4 --deadline-ms=60000 "
+          "--priority=low sim " +
+          NtPath() + " -",
+      &code);
+  EXPECT_EQ(code, 0);
+  EXPECT_NE(joined.find("?d: 2 candidates"), std::string::npos) << joined;
+  EXPECT_EQ(joined, separate);
+
+  const std::string gdb =
+      std::string(SPARQLSIM_TEST_DATA_DIR) + "/movies_v2.gdb";
+  const std::string stats = RunCommand(
+      std::string(SPARQLSIM_CLI) + " --resident-mb=1 --db=" + gdb + " stats",
+      &code);
+  EXPECT_EQ(code, 0);
+  EXPECT_EQ(stats, RunCommand(std::string(SPARQLSIM_CLI) +
+                                  " --resident-mb 1 --db " + gdb + " stats",
+                              &code));
+  EXPECT_EQ(code, 0);
+  // Last on the command line, so a flag without `=` has no value.
+  for (const char* flags : {"--priority=urgent", "--priority", "--db",
+                            "--cache-capacity=", "--deadline-ms=1s"}) {
+    RunCommand(std::string(SPARQLSIM_CLI) + " stats " + NtPath() + " " +
+                   flags,
+               &code);
+    EXPECT_EQ(code, 2) << flags;
+  }
 }
 
 }  // namespace

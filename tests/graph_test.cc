@@ -12,9 +12,12 @@
 #include "graph/dictionary.h"
 #include "graph/graph.h"
 #include "graph/ntriples.h"
+#include "temp_path.h"
 
 namespace sparqlsim::graph {
 namespace {
+
+using sparqlsim_test::TempPath;
 
 TEST(DictionaryTest, InternIsIdempotent) {
   Dictionary d;
@@ -245,7 +248,7 @@ TEST(GraphDatabaseTest, SummariesTrackTriplesAcrossVersions) {
   ASSERT_EQ(shrunk.NumTriples(), all.size() - removed.size());
   ExpectSummariesMatchTriples(shrunk, "removed");
 
-  const std::string path = "/tmp/sparqlsim_graph_test_summaries.gdb";
+  const std::string path = TempPath("graph_test_summaries.gdb");
   ASSERT_TRUE(BinaryIo::SaveV2File(shrunk, path).ok());
   auto loaded = BinaryIo::LoadFile(path);
   ASSERT_TRUE(loaded.ok()) << loaded.error_message();

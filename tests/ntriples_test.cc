@@ -15,9 +15,12 @@
 #include "datagen/lubm.h"
 #include "graph/binary_io.h"
 #include "graph/graph_database.h"
+#include "temp_path.h"
 
 namespace sparqlsim::graph {
 namespace {
+
+using sparqlsim_test::TempPath;
 
 GraphDatabase ParseOrDie(const std::string& text,
                          const NTriplesOptions& options = {},
@@ -321,7 +324,7 @@ TEST(NTriplesParallelTest, StrictErrorNamesTheAbsoluteLine) {
 }
 
 TEST(NTriplesParallelTest, FileRoundTrip) {
-  const std::string path = "/tmp/sparqlsim_ntriples_parallel_test.nt";
+  const std::string path = TempPath("ntriples_parallel_test.nt");
   {
     std::ofstream out(path);
     out << "<a> <p> <b> .\n<b> <p> \"lit\"@en .\n_:x <p> <a> .\n";

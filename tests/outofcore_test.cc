@@ -27,6 +27,7 @@
 #include "sim/soi.h"
 #include "sim/validate.h"
 #include "sparql/parser.h"
+#include "temp_path.h"
 #include "util/bitvector.h"
 
 namespace sparqlsim::sim {
@@ -34,12 +35,13 @@ namespace {
 
 using graph::BinaryIo;
 using graph::GraphDatabase;
+using sparqlsim_test::TempPath;
 
 // Writes `db` in both formats; returns the two paths.
 std::pair<std::string, std::string> WriteBothFormats(const GraphDatabase& db,
                                                      const std::string& tag) {
-  std::string v1 = "/tmp/sparqlsim_outofcore_" + tag + "_v1.gdb";
-  std::string v2 = "/tmp/sparqlsim_outofcore_" + tag + "_v2.gdb";
+  std::string v1 = TempPath("outofcore_" + tag + "_v1.gdb");
+  std::string v2 = TempPath("outofcore_" + tag + "_v2.gdb");
   EXPECT_TRUE(BinaryIo::SaveFile(db, v1).ok());
   EXPECT_TRUE(BinaryIo::SaveV2File(db, v2).ok());
   return {v1, v2};

@@ -10,6 +10,7 @@
 #include <chrono>
 #include <future>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -329,27 +330,60 @@ TEST(QueryServiceTest, FullyCachedQueryIsAnsweredOnTheSubmittingThread) {
   EXPECT_GE(stats.cache.solution_hits, 1u);
 }
 
-TEST(QueryServiceTest, SolutionsCachedProbeCountsNothing) {
+TEST(QueryServiceTest, PruneCachedCountsOnlyTheHitsItAnswers) {
   graph::GraphDatabase db = datagen::MakeRandomDatabase({});
   const sparql::Query query = std::move(MakeQueryPool(8, 1, 50)[0]);
+  auto expect_stats_equal = [](const SoiCache::Stats& a,
+                               const SoiCache::Stats& b) {
+    EXPECT_EQ(a.soi_hits, b.soi_hits);
+    EXPECT_EQ(a.soi_misses, b.soi_misses);
+    EXPECT_EQ(a.solution_hits, b.solution_hits);
+    EXPECT_EQ(a.solution_misses, b.solution_misses);
+  };
 
   SimEngine engine(&db);
-  EXPECT_FALSE(engine.SolutionsCached(query));
+  EXPECT_FALSE(engine.PruneCached(query).has_value());
+  expect_stats_equal(engine.cache()->stats(), SoiCache::Stats{});
   const PruneReport report = engine.Prune(query);
+
+  // A hit answers exactly what Prune answers, solves nothing, and counts
+  // the same lookups as a Prune served from the cache.
   const SoiCache::Stats before = engine.cache()->stats();
-  EXPECT_TRUE(engine.SolutionsCached(query));
-  const SoiCache::Stats after = engine.cache()->stats();
-  EXPECT_EQ(after.soi_hits, before.soi_hits);
-  EXPECT_EQ(after.soi_misses, before.soi_misses);
-  EXPECT_EQ(after.solution_hits, before.solution_hits);
-  EXPECT_EQ(after.solution_misses, before.solution_misses);
-  ExpectReportsEqual(engine.Prune(query), report, "cached prune");
+  const std::optional<PruneReport> cached = engine.PruneCached(query);
+  ASSERT_TRUE(cached.has_value());
+  const SoiCache::Stats after_hit = engine.cache()->stats();
+  ExpectReportsEqual(*cached, report, "cached prune");
+  EXPECT_EQ(cached->solution_cache_hits, cached->num_branches);
+  EXPECT_EQ(cached->stats.rounds, 0u);
+  const PruneReport again = engine.Prune(query);
+  EXPECT_EQ(again.solution_cache_hits, again.num_branches);
+  const SoiCache::Stats after_prune = engine.cache()->stats();
+  EXPECT_EQ(after_hit.soi_hits - before.soi_hits,
+            after_prune.soi_hits - after_hit.soi_hits);
+  EXPECT_EQ(after_hit.solution_hits - before.solution_hits,
+            after_prune.solution_hits - after_hit.solution_hits);
+  EXPECT_EQ(after_hit.soi_misses, before.soi_misses);
+  EXPECT_EQ(after_hit.solution_misses, before.solution_misses);
+
+  // A union with one cached branch and one uncached is not a hit, and its
+  // probe counts nothing.
+  auto parse = [](const char* text) {
+    return std::move(sparql::Parser::Parse(text)).value();
+  };
+  const sparql::Query one = parse("SELECT * WHERE { ?x <p0> ?y . }");
+  const sparql::Query two = parse(
+      "SELECT * WHERE { { ?x <p0> ?y . } UNION { ?x <p1> ?y . } }");
+  engine.Prune(one);
+  const SoiCache::Stats before_partial = engine.cache()->stats();
+  EXPECT_FALSE(engine.PruneCached(two).has_value());
+  expect_stats_equal(engine.cache()->stats(), before_partial);
+  EXPECT_EQ(engine.Prune(two).solution_cache_hits, 1u);
 
   SolverOptions no_solutions;
   no_solutions.cache_solutions = false;
   SimEngine uncached(&db, no_solutions);
   uncached.Prune(query);
-  EXPECT_FALSE(uncached.SolutionsCached(query));
+  EXPECT_FALSE(uncached.PruneCached(query).has_value());
 }
 
 TEST(QueryServiceTest, DestructorDrainsOutstandingFutures) {

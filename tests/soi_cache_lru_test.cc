@@ -109,6 +109,44 @@ TEST(SoiCacheLruTest, SolutionsRideOnTheirSoiEntry) {
   EXPECT_EQ(cache.FindSolution(1, "a", a.get()), nullptr);
 }
 
+TEST(SoiCacheLruTest, FindAllSolvedIsAllOrNothing) {
+  SoiCache cache(SoiCache::Options{3, false});
+  auto a = cache.InsertSoi(1, "a", TaggedSoi("a"));
+  cache.InsertSolution(1, "a", a.get(), TaggedSolution(2));
+  auto b = cache.InsertSoi(1, "b", TaggedSoi("b"));
+  cache.InsertSolution(1, "b", b.get(), TaggedSolution(3));
+  cache.InsertSoi(1, "c", TaggedSoi("c"));  // no solution attached
+
+  // One key without a solution (or without an entry, or at another
+  // generation) makes the whole lookup miss, and a miss counts nothing.
+  const std::vector<std::string> with_c = {"a", "c"};
+  const std::vector<std::string> with_absent = {"a", "z"};
+  const std::vector<std::string> both = {"b", "a"};
+  EXPECT_TRUE(cache.FindAllSolved(1, with_c).empty());
+  EXPECT_TRUE(cache.FindAllSolved(1, with_absent).empty());
+  EXPECT_TRUE(cache.FindAllSolved(2, both).empty());
+  ExpectStats(cache.stats(), SoiCache::Stats{});
+
+  // A hit returns the pairs in key order and counts a SOI hit and a
+  // solution hit per key.
+  const std::vector<SoiCache::Solved> solved = cache.FindAllSolved(1, both);
+  ASSERT_EQ(solved.size(), 2u);
+  EXPECT_EQ(solved[0].soi, b);
+  EXPECT_EQ(solved[0].solution->stats.rounds, 3u);
+  EXPECT_EQ(solved[1].soi, a);
+  EXPECT_EQ(solved[1].solution->stats.rounds, 2u);
+  SoiCache::Stats want;
+  want.soi_hits = 2;
+  want.solution_hits = 2;
+  ExpectStats(cache.stats(), want);
+
+  // The hit refreshed "a" and "b", so "c" is now the LRU entry.
+  cache.InsertSoi(1, "d", TaggedSoi("d"));
+  EXPECT_EQ(cache.FindSoi(1, "c"), nullptr);
+  EXPECT_NE(cache.FindSoi(1, "a"), nullptr);
+  EXPECT_NE(cache.FindSoi(1, "b"), nullptr);
+}
+
 TEST(SoiCacheLruTest, SolutionNeverPairsWithARebuiltSoiInstance) {
   // Regression for the eviction-rebuild hazard: canonically-equal patterns
   // may number their SOI variables differently, so after an entry is

@@ -9,8 +9,6 @@
 #   SPARQLSIM_LUBM_UNIVERSITIES (default 2)
 #   SPARQLSIM_DBPEDIA_SCALE     (default 1)
 #   SPARQLSIM_BENCH_REPS        (default 2)
-#   SPARQLSIM_PARALLEL_QUERIES  (default 6)
-#   SPARQLSIM_SERVICE_PUBLISHES (default 8; snapshot-churn publications)
 #   SPARQLSIM_DB                optional ingested .gdb all benches run on
 #   SPARQLSIM_PUBLISH_SUMMARY   1 to also copy the consolidated summary to
 #                               the committed repo-root BENCH_summary.json
@@ -22,8 +20,8 @@ RESULTS_ROOT="${2:-$REPO_ROOT/bench/results}"
 STAMP="$(date -u +%Y%m%dT%H%M%SZ)"
 RUN_DIR="$RESULTS_ROOT/$STAMP"
 
-REQUIRED_BENCHES=(bench_table2 bench_table3 bench_ablation bench_parallel
-                  bench_service bench_standing bench_outofcore)
+REQUIRED_BENCHES=(bench_table2 bench_table3 bench_ablation bench_standing
+                  bench_outofcore)
 
 # A build dir cached with SPARQLSIM_BUILD_BENCH=OFF used to make this
 # script a silent no-op (every bench "not built, skipping", empty summary).
@@ -64,8 +62,6 @@ mkdir -p "$RUN_DIR"
 export SPARQLSIM_LUBM_UNIVERSITIES="${SPARQLSIM_LUBM_UNIVERSITIES:-2}"
 export SPARQLSIM_DBPEDIA_SCALE="${SPARQLSIM_DBPEDIA_SCALE:-1}"
 export SPARQLSIM_BENCH_REPS="${SPARQLSIM_BENCH_REPS:-2}"
-export SPARQLSIM_PARALLEL_QUERIES="${SPARQLSIM_PARALLEL_QUERIES:-6}"
-export SPARQLSIM_SERVICE_PUBLISHES="${SPARQLSIM_SERVICE_PUBLISHES:-8}"
 
 run_bench() {
   local name="$1"
@@ -85,13 +81,12 @@ run_bench() {
     >>"$RUN_DIR/wallclock.txt"
 }
 
-# Table 2/3 + ablation smoke runs, plus the thread-scaling and service
-# throughput benches (which write their own structured JSON).
+# Table 2/3 smoke runs, plus the ablation, standing-query and out-of-core
+# benches (which write their own structured JSON). Serving throughput and
+# snapshot churn are measured by perfbench (perfbench/README.md), not here.
 run_bench bench_table2
 run_bench bench_table3
 SPARQLSIM_BENCH_JSON="$RUN_DIR/bench_ablation.json" run_bench bench_ablation
-SPARQLSIM_BENCH_JSON="$RUN_DIR/bench_parallel.json" run_bench bench_parallel
-SPARQLSIM_BENCH_JSON="$RUN_DIR/bench_service.json" run_bench bench_service
 SPARQLSIM_BENCH_JSON="$RUN_DIR/bench_standing.json" run_bench bench_standing
 SPARQLSIM_BENCH_JSON="$RUN_DIR/bench_outofcore.json" run_bench bench_outofcore
 
@@ -133,15 +128,9 @@ SPARQLSIM_BENCH_JSON="$RUN_DIR/bench_outofcore.json" run_bench bench_outofcore
   echo "  \"db\": \"${SPARQLSIM_DB:-synthetic}\","
   # Structured per-bench JSON, embedded verbatim: the ablation block carries
   # each solver-strategy variant's solve-time quartiles (p25/p50/p75) and
-  # rounds/updates/eval counters, parallel the thread scaling, service the
-  # throughput numbers across the worker and snapshot-churn axes (samples[]
-  # + the churn object).
+  # rounds/updates/eval counters.
   echo '  "ablation":'
   cat "$RUN_DIR/bench_ablation.json"
-  echo '  ,"parallel":'
-  cat "$RUN_DIR/bench_parallel.json"
-  echo '  ,"service":'
-  cat "$RUN_DIR/bench_service.json"
   # standing: incremental maintenance vs cold recompute over a small-delta
   # update stream (headline.speedup is the maintain-vs-recompute ratio).
   echo '  ,"standing":'

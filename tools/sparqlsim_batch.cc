@@ -272,62 +272,45 @@ int Run(int argc, char** argv) {
   const char* deltas_path = nullptr;
   std::vector<const char*> args;
 
-  auto flag_value = [&](int& i, const char* name,
-                        const char** out) -> bool {
-    size_t len = std::strlen(name);
-    if (std::strcmp(argv[i], name) == 0) {
-      if (i + 1 >= argc) return false;
-      *out = argv[++i];
-      return true;
-    }
-    if (std::strncmp(argv[i], name, len) == 0 && argv[i][len] == '=') {
-      *out = argv[i] + len + 1;
-      return true;
-    }
-    *out = nullptr;
-    return true;
-  };
-
   for (int i = 1; i < argc; ++i) {
     const char* value = nullptr;
-    if (!flag_value(i, "--threads", &value)) return Usage();
-    if (value != nullptr) {
-      if (!tools::ParseSize(value, "--threads", &options.num_workers)) {
+    if (tools::FlagValue(argc, argv, &i, "--threads", &value)) {
+      if (value == nullptr ||
+          !tools::ParseSize(value, "--threads", &options.num_workers)) {
         return Usage();
       }
       continue;
     }
-    if (!flag_value(i, "--queue-depth", &value)) return Usage();
-    if (value != nullptr) {
-      if (!tools::ParseSize(value, "--queue-depth", &options.queue_depth)) {
+    if (tools::FlagValue(argc, argv, &i, "--queue-depth", &value)) {
+      if (value == nullptr ||
+          !tools::ParseSize(value, "--queue-depth", &options.queue_depth)) {
         return Usage();
       }
       continue;
     }
-    if (!flag_value(i, "--cache-capacity", &value)) return Usage();
-    if (value != nullptr) {
-      if (!tools::ParseSize(value, "--cache-capacity",
-                            &options.cache_capacity)) {
+    if (tools::FlagValue(argc, argv, &i, "--cache-capacity", &value)) {
+      if (value == nullptr || !tools::ParseSize(value, "--cache-capacity",
+                                                &options.cache_capacity)) {
         return Usage();
       }
       continue;
     }
-    if (!flag_value(i, "--repeat", &value)) return Usage();
-    if (value != nullptr) {
-      if (!tools::ParseSize(value, "--repeat", &repeat) || repeat == 0) {
+    if (tools::FlagValue(argc, argv, &i, "--repeat", &value)) {
+      if (value == nullptr || !tools::ParseSize(value, "--repeat", &repeat) ||
+          repeat == 0) {
         return Usage();
       }
       continue;
     }
-    if (!flag_value(i, "--deadline-ms", &value)) return Usage();
-    if (value != nullptr) {
-      if (!tools::ParseSize(value, "--deadline-ms", &deadline_ms)) {
+    if (tools::FlagValue(argc, argv, &i, "--deadline-ms", &value)) {
+      if (value == nullptr ||
+          !tools::ParseSize(value, "--deadline-ms", &deadline_ms)) {
         return Usage();
       }
       continue;
     }
-    if (!flag_value(i, "--priority", &value)) return Usage();
-    if (value != nullptr) {
+    if (tools::FlagValue(argc, argv, &i, "--priority", &value)) {
+      if (value == nullptr) return Usage();
       if (std::strcmp(value, "high") == 0) {
         default_priority = util::AdmissionGate::Priority::kHigh;
       } else if (std::strcmp(value, "low") == 0) {
@@ -337,20 +320,20 @@ int Run(int argc, char** argv) {
       }
       continue;
     }
-    if (!flag_value(i, "--db", &value)) return Usage();
-    if (value != nullptr) {
+    if (tools::FlagValue(argc, argv, &i, "--db", &value)) {
+      if (value == nullptr) return Usage();
       db_path = value;
       continue;
     }
-    if (!flag_value(i, "--resident-mb", &value)) return Usage();
-    if (value != nullptr) {
-      if (!tools::ParseSize(value, "--resident-mb", &resident_mb, 20)) {
+    if (tools::FlagValue(argc, argv, &i, "--resident-mb", &value)) {
+      if (value == nullptr ||
+          !tools::ParseSize(value, "--resident-mb", &resident_mb, 20)) {
         return Usage();
       }
       continue;
     }
-    if (!flag_value(i, "--deltas", &value)) return Usage();
-    if (value != nullptr) {
+    if (tools::FlagValue(argc, argv, &i, "--deltas", &value)) {
+      if (value == nullptr) return Usage();
       deltas_path = value;
       continue;
     }
@@ -369,6 +352,7 @@ int Run(int argc, char** argv) {
     if (std::strncmp(argv[i], "--", 2) == 0) return Usage();
     args.push_back(argv[i]);
   }
+  if (!tools::ResolveResidentMb(&resident_mb)) return Usage();
 
   const char* query_path = nullptr;
   std::optional<graph::GraphDatabase> db;

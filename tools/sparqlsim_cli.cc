@@ -252,71 +252,30 @@ int Run(int argc, char** argv) {
   auto priority = util::AdmissionGate::Priority::kHigh;
   bool use_service = false;  // --deadline-ms/--priority route via the service
   std::vector<const char*> args;
-  auto parse_deadline = [&](const char* text) {
-    if (!tools::ParseSize(text, "--deadline-ms", &deadline_ms)) return false;
-    use_service = true;
-    return true;
-  };
-  auto parse_priority = [&](const char* text) {
-    if (std::strcmp(text, "high") == 0) {
-      priority = util::AdmissionGate::Priority::kHigh;
-    } else if (std::strcmp(text, "low") == 0) {
-      priority = util::AdmissionGate::Priority::kLow;
-    } else {
-      std::fprintf(stderr,
-                   "invalid --priority value '%s' (expected high|low)\n",
-                   text);
-      return false;
-    }
-    use_service = true;
-    return true;
-  };
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0) {
-      if (i + 1 >= argc ||
-          !tools::ParseSize(argv[++i], "--threads", &options.num_threads)) {
+    const char* value = nullptr;
+    if (tools::FlagValue(argc, argv, &i, "--threads", &value)) {
+      if (value == nullptr ||
+          !tools::ParseSize(value, "--threads", &options.num_threads)) {
         return Usage();
       }
       continue;
     }
-    if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      if (!tools::ParseSize(argv[i] + 10, "--threads", &options.num_threads)) {
+    if (tools::FlagValue(argc, argv, &i, "--db", &value)) {
+      if (value == nullptr) return Usage();
+      db_path = value;
+      continue;
+    }
+    if (tools::FlagValue(argc, argv, &i, "--resident-mb", &value)) {
+      if (value == nullptr ||
+          !tools::ParseSize(value, "--resident-mb", &resident_mb, 20)) {
         return Usage();
       }
       continue;
     }
-    if (std::strcmp(argv[i], "--db") == 0) {
-      if (i + 1 >= argc) return Usage();
-      db_path = argv[++i];
-      continue;
-    }
-    if (std::strncmp(argv[i], "--db=", 5) == 0) {
-      db_path = argv[i] + 5;
-      continue;
-    }
-    if (std::strcmp(argv[i], "--resident-mb") == 0) {
-      if (i + 1 >= argc ||
-          !tools::ParseSize(argv[++i], "--resident-mb", &resident_mb, 20)) {
-        return Usage();
-      }
-      continue;
-    }
-    if (std::strncmp(argv[i], "--resident-mb=", 14) == 0) {
-      if (!tools::ParseSize(argv[i] + 14, "--resident-mb", &resident_mb, 20)) {
-        return Usage();
-      }
-      continue;
-    }
-    if (std::strcmp(argv[i], "--cache-capacity") == 0) {
-      if (i + 1 >= argc || !tools::ParseSize(argv[++i], "--cache-capacity",
-                                             &options.cache_capacity)) {
-        return Usage();
-      }
-      continue;
-    }
-    if (std::strncmp(argv[i], "--cache-capacity=", 17) == 0) {
-      if (!tools::ParseSize(argv[i] + 17, "--cache-capacity",
-                            &options.cache_capacity)) {
+    if (tools::FlagValue(argc, argv, &i, "--cache-capacity", &value)) {
+      if (value == nullptr || !tools::ParseSize(value, "--cache-capacity",
+                                                &options.cache_capacity)) {
         return Usage();
       }
       continue;
@@ -329,20 +288,27 @@ int Run(int argc, char** argv) {
       options.cache_sois = options.cache_solutions = false;
       continue;
     }
-    if (std::strcmp(argv[i], "--deadline-ms") == 0) {
-      if (i + 1 >= argc || !parse_deadline(argv[++i])) return Usage();
+    if (tools::FlagValue(argc, argv, &i, "--deadline-ms", &value)) {
+      if (value == nullptr ||
+          !tools::ParseSize(value, "--deadline-ms", &deadline_ms)) {
+        return Usage();
+      }
+      use_service = true;
       continue;
     }
-    if (std::strncmp(argv[i], "--deadline-ms=", 14) == 0) {
-      if (!parse_deadline(argv[i] + 14)) return Usage();
-      continue;
-    }
-    if (std::strcmp(argv[i], "--priority") == 0) {
-      if (i + 1 >= argc || !parse_priority(argv[++i])) return Usage();
-      continue;
-    }
-    if (std::strncmp(argv[i], "--priority=", 11) == 0) {
-      if (!parse_priority(argv[i] + 11)) return Usage();
+    if (tools::FlagValue(argc, argv, &i, "--priority", &value)) {
+      if (value == nullptr) return Usage();
+      if (std::strcmp(value, "high") == 0) {
+        priority = util::AdmissionGate::Priority::kHigh;
+      } else if (std::strcmp(value, "low") == 0) {
+        priority = util::AdmissionGate::Priority::kLow;
+      } else {
+        std::fprintf(stderr,
+                     "invalid --priority value '%s' (expected high|low)\n",
+                     value);
+        return Usage();
+      }
+      use_service = true;
       continue;
     }
     if (std::strncmp(argv[i], "--", 2) == 0) {
@@ -351,6 +317,7 @@ int Run(int argc, char** argv) {
     }
     args.push_back(argv[i]);
   }
+  if (!tools::ResolveResidentMb(&resident_mb)) return Usage();
 
   if (args.empty()) return Usage();
   const char* command = args[0];

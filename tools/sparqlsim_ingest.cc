@@ -34,6 +34,7 @@
 #include <optional>
 #include <streambuf>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "tool_common.h"
@@ -59,6 +60,11 @@ int Usage() {
 }
 
 using tools::HasSuffix;
+
+int MissingValue(const char* flag) {
+  std::fprintf(stderr, "%s needs a value\n", flag);
+  return Usage();
+}
 
 /// Minimal read-only streambuf over a popen'd pipe, used to stream
 /// `gzip -dc` output into the chunked parser without a temporary file.
@@ -199,35 +205,19 @@ int Run(int argc, char** argv) {
 
   std::vector<std::string> positional;
   for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    // The value of `--flag V` or `--flag=V`; null (after a diagnostic) when
-    // `--flag` is last on the command line.
-    auto flag_value = [&](const char* flag) -> const char* {
-      if (arg != flag) return argv[i] + std::strlen(flag) + 1;
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", flag);
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    auto is_flag = [&](const char* flag) {
-      const size_t len = std::strlen(flag);
-      return arg.compare(0, len, flag) == 0 &&
-             (arg.size() == len || arg[len] == '=');
-    };
+    const std::string_view arg = argv[i];
+    const char* value = nullptr;
     if (arg == "--permissive") {
       config.parse.permissive = true;
     } else if (arg == "--stats") {
       config.print_stats = true;
-    } else if (is_flag("--threads")) {
-      const char* value = flag_value("--threads");
-      if (value == nullptr ||
-          !tools::ParseSize(value, "--threads", &config.parse.num_threads)) {
+    } else if (tools::FlagValue(argc, argv, &i, "--threads", &value)) {
+      if (value == nullptr) return MissingValue("--threads");
+      if (!tools::ParseSize(value, "--threads", &config.parse.num_threads)) {
         return Usage();
       }
-    } else if (is_flag("--format")) {
-      const char* value = flag_value("--format");
-      if (value == nullptr) return Usage();
+    } else if (tools::FlagValue(argc, argv, &i, "--format", &value)) {
+      if (value == nullptr) return MissingValue("--format");
       if (std::strcmp(value, "v1") == 0) {
         config.format_v2 = false;
       } else if (std::strcmp(value, "v2") == 0) {
@@ -236,22 +226,20 @@ int Run(int argc, char** argv) {
         std::fprintf(stderr, "--format must be v1 or v2, got '%s'\n", value);
         return Usage();
       }
-    } else if (is_flag("--chunk-mb")) {
-      const char* value = flag_value("--chunk-mb");
+    } else if (tools::FlagValue(argc, argv, &i, "--chunk-mb", &value)) {
+      if (value == nullptr) return MissingValue("--chunk-mb");
       size_t mb = 0;
-      if (value == nullptr || !tools::ParseSize(value, "--chunk-mb", &mb, 20)) {
-        return Usage();
-      }
+      if (!tools::ParseSize(value, "--chunk-mb", &mb, 20)) return Usage();
       if (mb == 0) {
         std::fprintf(stderr, "--chunk-mb must be >= 1\n");
         return Usage();
       }
       config.parse.chunk_bytes = mb << 20;
-    } else if (arg.rfind("--", 0) == 0) {
-      std::fprintf(stderr, "unknown option %s\n", arg.c_str());
+    } else if (arg.starts_with("--")) {
+      std::fprintf(stderr, "unknown option %s\n", argv[i]);
       return Usage();
     } else {
-      positional.push_back(std::move(arg));
+      positional.emplace_back(arg);
     }
   }
   if (positional.size() != 2) return Usage();

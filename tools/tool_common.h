@@ -39,21 +39,39 @@ inline bool ParseSize(const char* text, const char* flag, size_t* out,
   return true;
 }
 
-/// Sentinel for LoadDatabase's resident_mb: fall back to the
-/// SPARQLSIM_RESIDENT_MB environment variable (unbounded when unset).
+/// Matches the value-taking flag `flag` (e.g. "--threads") at argv[*i], in
+/// either form `--flag V` or `--flag=V`. Returns false, leaving *i alone,
+/// when argv[*i] is some other argument. Otherwise returns true and sets
+/// *value to the flag's value, advancing *i past a separate one; *value is
+/// null when `--flag` is the last argument.
+inline bool FlagValue(int argc, char** argv, int* i, std::string_view flag,
+                      const char** value) {
+  const std::string_view arg = argv[*i];
+  if (!arg.starts_with(flag)) return false;
+  if (arg.size() == flag.size()) {
+    *value = *i + 1 < argc ? argv[++*i] : nullptr;
+    return true;
+  }
+  if (arg[flag.size()] != '=') return false;
+  *value = argv[*i] + flag.size() + 1;
+  return true;
+}
+
+/// Value of a resident-budget variable before flags are parsed: it stands
+/// for "no --resident-mb given" until ResolveResidentMb replaces it.
 inline constexpr size_t kResidentMbFromEnv = static_cast<size_t>(-1);
 
-/// Resolves the resident-budget knob: an explicit --resident-mb value
-/// wins, otherwise SPARQLSIM_RESIDENT_MB, otherwise 0 (unbounded). The
-/// budget only affects lazily opened SQSIMDB2 files.
-inline size_t ResolveResidentBudgetBytes(size_t resident_mb) {
-  if (resident_mb == kResidentMbFromEnv) {
-    const char* env = std::getenv("SPARQLSIM_RESIDENT_MB");
-    resident_mb =
-        env != nullptr ? static_cast<size_t>(std::strtoull(env, nullptr, 10))
-                       : 0;
-  }
-  return resident_mb << 20;
+/// Resolves the resident-budget knob in MiB: an explicit --resident-mb
+/// value wins, otherwise SPARQLSIM_RESIDENT_MB, parsed under the flag's
+/// rules, otherwise 0 (unbounded). The budget only affects lazily opened
+/// SQSIMDB2/3 files. Returns false, after a diagnostic, when the variable
+/// is malformed; the tools treat that as a usage error.
+inline bool ResolveResidentMb(size_t* resident_mb) {
+  if (*resident_mb != kResidentMbFromEnv) return true;
+  *resident_mb = 0;
+  const char* env = std::getenv("SPARQLSIM_RESIDENT_MB");
+  return env == nullptr ||
+         ParseSize(env, "SPARQLSIM_RESIDENT_MB", resident_mb, 20);
 }
 
 /// True when `path` ends with `suffix` — the tools' format-dispatch
@@ -66,19 +84,18 @@ inline bool HasSuffix(std::string_view path, std::string_view suffix) {
 
 /// Loads N-Triples or binary by suffix; `force_binary` (the --db flag's
 /// behavior) always reads the SQSIMDB binary formats regardless of
-/// suffix. SQSIMDB2 files open mmap-ed and lazy, with the resident
-/// budget from `resident_mb` (see ResolveResidentBudgetBytes). Reports
-/// load time on stderr; returns nullopt (with a diagnostic) on failure.
-/// Shared by sparqlsim_cli and sparqlsim_batch.
-inline std::optional<graph::GraphDatabase> LoadDatabase(
-    const char* path, bool force_binary = false,
-    size_t resident_mb = kResidentMbFromEnv) {
+/// suffix. SQSIMDB2 files open mmap-ed and lazy, with a budget of
+/// `resident_mb` MiB (0 = unbounded; see ResolveResidentMb). Reports load
+/// time on stderr; returns nullopt (with a diagnostic) on failure. Shared
+/// by sparqlsim_cli and sparqlsim_batch.
+inline std::optional<graph::GraphDatabase> LoadDatabase(const char* path,
+                                                        bool force_binary,
+                                                        size_t resident_mb) {
   util::Stopwatch watch;
   std::optional<graph::GraphDatabase> db;
   if (force_binary || HasSuffix(path, ".gdb")) {
     graph::BinaryIo::LoadOptions load_options;
-    load_options.resident_budget_bytes =
-        ResolveResidentBudgetBytes(resident_mb);
+    load_options.resident_budget_bytes = resident_mb << 20;
     auto loaded = graph::BinaryIo::LoadFile(path, load_options);
     if (!loaded.ok()) {
       std::fprintf(stderr, "error loading %s: %s\n", path,
