@@ -56,10 +56,9 @@ struct Spread {
   double p75 = 0;
 };
 
-/// Runs fn SPARQLSIM_BENCH_REPS times (at least once), timing each run.
+/// Runs fn SPARQLSIM_BENCH_REPS times, timing each run.
 Spread TimeSpread(const std::function<void()>& fn) {
-  const size_t reps =
-      std::max<size_t>(1, bench::EnvSize("SPARQLSIM_BENCH_REPS", 3));
+  const size_t reps = bench::BenchReps();
   std::vector<double> seconds(reps);
   for (double& s : seconds) {
     util::Stopwatch watch;

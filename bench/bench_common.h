@@ -20,6 +20,7 @@
 #include "sim/soi.h"
 #include "sparql/ast.h"
 #include "sparql/parser.h"
+#include "tools/tool_common.h"
 #include "util/stopwatch.h"
 
 namespace sparqlsim::bench {
@@ -28,10 +29,26 @@ namespace sparqlsim::bench {
 ///   SPARQLSIM_LUBM_UNIVERSITIES (default 6)
 ///   SPARQLSIM_DBPEDIA_SCALE     (default 2)
 ///   SPARQLSIM_BENCH_REPS        (default 3)
+/// A value is parsed as the tools parse numeric flags (tools::ParseSize:
+/// plain decimal digits); a malformed one exits with status 2 after a
+/// diagnostic instead of running with a garbage scale.
 inline size_t EnvSize(const char* name, size_t fallback) {
   const char* value = std::getenv(name);
-  if (!value) return fallback;
-  return static_cast<size_t>(std::strtoull(value, nullptr, 10));
+  if (value == nullptr) return fallback;
+  size_t parsed = 0;
+  if (!tools::ParseSize(value, name, &parsed)) std::exit(2);
+  return parsed;
+}
+
+/// SPARQLSIM_BENCH_REPS (default 3). Zero would average over no samples
+/// and print inf/nan, so it exits with status 2 as a malformed value does.
+inline size_t BenchReps() {
+  const size_t reps = EnvSize("SPARQLSIM_BENCH_REPS", 3);
+  if (reps == 0) {
+    std::fprintf(stderr, "SPARQLSIM_BENCH_REPS must be at least 1\n");
+    std::exit(2);
+  }
+  return reps;
 }
 
 /// Database override for running the paper's tables on *real* ingested
@@ -57,11 +74,12 @@ inline std::optional<graph::GraphDatabase> LoadDbOverride(int argc,
   }
   if (path == nullptr) return std::nullopt;
   std::fprintf(stderr, "[bench] loading database %s ...\n", path);
-  // SQSIMDB2 files open lazily; SPARQLSIM_RESIDENT_MB bounds their
-  // resident matrix bytes (0/unset = unbounded), mirroring the tools.
+  // SQSIMDB2/3 files open lazily; SPARQLSIM_RESIDENT_MB bounds their
+  // resident matrix bytes (0/unset = unbounded), parsed as the tools do.
+  size_t resident_mb = tools::kResidentMbFromEnv;
+  if (!tools::ResolveResidentMb(&resident_mb)) std::exit(2);
   graph::BinaryIo::LoadOptions load_options;
-  load_options.resident_budget_bytes =
-      EnvSize("SPARQLSIM_RESIDENT_MB", 0) << 20;
+  load_options.resident_budget_bytes = resident_mb << 20;
   auto loaded = graph::BinaryIo::LoadFile(path, load_options);
   if (!loaded.ok()) {
     std::fprintf(stderr, "[bench] cannot load %s: %s\n", path,
@@ -151,7 +169,7 @@ inline PatternWithConstants BgpToDataPattern(
 
 /// Runs fn `reps` times and returns the average seconds.
 inline double TimeAverage(const std::function<void()>& fn, size_t reps = 0) {
-  if (reps == 0) reps = EnvSize("SPARQLSIM_BENCH_REPS", 3);
+  if (reps == 0) reps = BenchReps();
   util::Stopwatch watch;
   for (size_t i = 0; i < reps; ++i) fn();
   return watch.ElapsedSeconds() / static_cast<double>(reps);

@@ -1,22 +1,27 @@
-// Out-of-core tier bench: cold-open and first-query latency of the
-// SQSIMDB2 lazy-loading path against the eager loaders.
+// Out-of-core tier bench: cold-open and first-query latency of the lazy
+// SQSIMDB3 load path.
 //
 // The source database (LUBM by default; `--db file.gdb` / SPARQLSIM_DB
-// substitutes a real ingested one) is serialized to /tmp in both formats,
-// then each variant measures
-//   * open      — LoadFile wall-clock (v2-lazy parses only the directory),
-//   * first query — a single-predicate solve straight after the open (the
-//     lazy variants materialize just the predicates the query touches),
+// substitutes a real ingested one) is written as SQSIMDB3 to a file named
+// per process in the system temp directory, then each variant measures
+//   * open      — LoadFile wall-clock (a lazy open parses only the
+//     directory and maps the dictionary),
+//   * first query — a single-predicate solve straight after the open (only
+//     the predicates the query touches materialize),
 // and reports the backing counters afterwards. `v2-lazy-budget` caps
 // resident matrix bytes at SPARQLSIM_RESIDENT_MB (default 1) to exercise
-// the evict-and-refault path. Every variant must produce the same relation
-// size — the bench fails loudly on any mismatch.
+// the evict-and-refault path. Every variant must produce the relation size
+// of the same solve on the in-memory source — the bench fails loudly on
+// any mismatch.
 //
 // SPARQLSIM_BENCH_JSON=<path> archives the rows as JSON;
 // tools/run_benches.sh folds that into the repo-root BENCH_summary.json.
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -87,11 +92,10 @@ VariantRow RunVariant(const char* name, const std::string& path,
   return row;
 }
 
-void WriteJson(const std::vector<VariantRow>& rows, size_t v1_bytes,
-               size_t v2_bytes, const std::string& predicate, FILE* out) {
+void WriteJson(const std::vector<VariantRow>& rows, size_t gdb_bytes,
+               const std::string& predicate, FILE* out) {
   std::fprintf(out, "{\n  \"bench\": \"outofcore\",\n");
-  std::fprintf(out, "  \"v1_bytes\": %zu,\n  \"v2_bytes\": %zu,\n", v1_bytes,
-               v2_bytes);
+  std::fprintf(out, "  \"v2_bytes\": %zu,\n", gdb_bytes);
   std::fprintf(out, "  \"query_predicate\": \"%s\",\n", predicate.c_str());
   std::fprintf(out, "  \"variants\": [\n");
   for (size_t i = 0; i < rows.size(); ++i) {
@@ -112,50 +116,45 @@ void WriteJson(const std::vector<VariantRow>& rows, size_t v1_bytes,
 }
 
 int Run(int argc, char** argv) {
-  std::printf("Out-of-core tier: cold open + first query, v1 vs v2\n");
+  std::printf("Out-of-core tier: cold open + first query, SQSIMDB3\n");
 
   std::optional<graph::GraphDatabase> override_db =
       bench::LoadDbOverride(argc, argv);
   graph::GraphDatabase source =
       override_db ? std::move(*override_db) : bench::MakeBenchLubm();
 
-  const std::string v1_path = "/tmp/sparqlsim_bench_outofcore_v1.gdb";
-  const std::string v2_path = "/tmp/sparqlsim_bench_outofcore_v2.gdb";
-  if (auto s = graph::BinaryIo::SaveFile(source, v1_path); !s.ok()) {
-    std::fprintf(stderr, "[bench] cannot write %s: %s\n", v1_path.c_str(),
+  const std::string gdb_path =
+      (std::filesystem::temp_directory_path() /
+       ("sparqlsim_bench_outofcore_" + std::to_string(::getpid()) + ".gdb"))
+          .string();
+  if (auto s = graph::BinaryIo::SaveV2File(source, gdb_path); !s.ok()) {
+    std::fprintf(stderr, "[bench] cannot write %s: %s\n", gdb_path.c_str(),
                  s.message().c_str());
     return 1;
   }
-  if (auto s = graph::BinaryIo::SaveV2File(source, v2_path); !s.ok()) {
-    std::fprintf(stderr, "[bench] cannot write %s: %s\n", v2_path.c_str(),
-                 s.message().c_str());
-    return 1;
-  }
-  const size_t v1_bytes = FileSizeBytes(v1_path);
-  const size_t v2_bytes = FileSizeBytes(v2_path);
-  std::printf("db: %zu triples, %zu predicates; v1 %zu bytes, v2 %zu bytes\n",
-              source.NumTriples(), source.NumPredicates(), v1_bytes, v2_bytes);
+  const size_t gdb_bytes = FileSizeBytes(gdb_path);
+  std::printf("db: %zu triples, %zu predicates; SQSIMDB3 %zu bytes\n",
+              source.NumTriples(), source.NumPredicates(), gdb_bytes);
 
   const std::string predicate = DensestPredicate(source);
   sparql::Query query = bench::ParseOrDie(
       "SELECT * WHERE { ?s <" + predicate + "> ?o . }");
   std::printf("first query: ?s <%s> ?o\n\n", predicate.c_str());
+  const size_t want_relation =
+      sim::SparqlSimProcessor(&source).Solve(*query.where).RelationSize();
 
-  const size_t reps = bench::EnvSize("SPARQLSIM_BENCH_REPS", 3);
+  const size_t reps = bench::BenchReps();
   const size_t budget_mb = bench::EnvSize("SPARQLSIM_RESIDENT_MB", 1);
 
-  graph::BinaryIo::LoadOptions eager;
-  eager.eager = true;
   graph::BinaryIo::LoadOptions lazy;
   graph::BinaryIo::LoadOptions lazy_budget;
   lazy_budget.resident_budget_bytes = budget_mb << 20;
 
   std::vector<VariantRow> rows;
-  rows.push_back(RunVariant("v1-eager", v1_path, eager, query, reps));
-  rows.push_back(RunVariant("v2-eager", v2_path, eager, query, reps));
-  rows.push_back(RunVariant("v2-lazy", v2_path, lazy, query, reps));
+  rows.push_back(RunVariant("v2-lazy", gdb_path, lazy, query, reps));
   rows.push_back(
-      RunVariant("v2-lazy-budget", v2_path, lazy_budget, query, reps));
+      RunVariant("v2-lazy-budget", gdb_path, lazy_budget, query, reps));
+  std::remove(gdb_path.c_str());
 
   std::printf("  %-16s %10s %12s %10s %9s %8s %9s\n", "variant", "open(s)",
               "1st-query(s)", "relation", "resident", "mat.", "evict");
@@ -169,17 +168,16 @@ int Run(int argc, char** argv) {
 
   // Determinism gate: the backing tier must never change answers.
   for (const VariantRow& r : rows) {
-    if (r.relation_size != rows[0].relation_size) {
+    if (r.relation_size != want_relation) {
       std::fprintf(stderr,
-                   "[bench] relation-size mismatch: %s=%zu vs %s=%zu\n",
-                   r.name.c_str(), r.relation_size, rows[0].name.c_str(),
-                   rows[0].relation_size);
+                   "[bench] relation-size mismatch: %s=%zu vs in-memory=%zu\n",
+                   r.name.c_str(), r.relation_size, want_relation);
       return 1;
     }
   }
   // The lazy open must leave untouched predicates on disk: a one-predicate
   // query over a multi-predicate database may not materialize everything.
-  const VariantRow& lazy_row = rows[2];
+  const VariantRow& lazy_row = rows[0];
   if (source.NumPredicates() > 1 &&
       lazy_row.backing.materializations >= source.NumPredicates()) {
     std::fprintf(stderr,
@@ -196,11 +194,11 @@ int Run(int argc, char** argv) {
       std::fprintf(stderr, "cannot write %s\n", json_path);
       return 1;
     }
-    WriteJson(rows, v1_bytes, v2_bytes, predicate, out);
+    WriteJson(rows, gdb_bytes, predicate, out);
     std::fclose(out);
     std::fprintf(stderr, "[bench] JSON written to %s\n", json_path);
   } else {
-    WriteJson(rows, v1_bytes, v2_bytes, predicate, stdout);
+    WriteJson(rows, gdb_bytes, predicate, stdout);
   }
   return 0;
 }

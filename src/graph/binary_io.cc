@@ -5,7 +5,6 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -15,10 +14,10 @@
 #include <fstream>
 #include <future>
 #include <istream>
+#include <iterator>
 #include <memory>
 #include <ostream>
 #include <span>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -39,24 +38,14 @@ namespace {
 using util::Fnv1a64;
 
 // 7-byte format tag + 1-byte version; see docs/DATASETS.md for the specs
-// and the versioning policy. Save() writes v1, SaveV2() writes v3, Load*
-// dispatches on the version byte. Version 2 is read-only.
-constexpr char kMagic[8] = {'S', 'Q', 'S', 'I', 'M', 'D', 'B', '1'};
-constexpr char kVersion1 = '1';
-constexpr char kVersion2 = '2';
-constexpr char kVersion3 = '3';
-constexpr const char* kReadableVersions =
-    "' (this build reads versions '1', '2' and '3')";
+// and the versioning policy. SaveV2() writes v3; v1 and v2 are read-only.
+constexpr char kMagic[7] = {'S', 'Q', 'S', 'I', 'M', 'D', 'B'};
+constexpr size_t kHeadBytes = sizeof(kMagic) + 1;
+constexpr uint8_t kVersion1 = '1';
+constexpr uint8_t kVersion2 = '2';
+constexpr uint8_t kVersion3 = '3';
 constexpr char kFooterMagic[8] = {'S', 'Q', 'S', 'I', 'M', 'F', 'T', '2'};
 constexpr size_t kFooterBytes = 32;  // dir offset/length/checksum + magic
-
-void PutVarint(uint64_t value, std::ostream& out) {
-  while (value >= 0x80) {
-    out.put(static_cast<char>(value | 0x80));
-    value >>= 7;
-  }
-  out.put(static_cast<char>(value));
-}
 
 void AppendVarint(uint64_t value, std::vector<uint8_t>* out) {
   while (value >= 0x80) {
@@ -66,48 +55,9 @@ void AppendVarint(uint64_t value, std::vector<uint8_t>* out) {
   out->push_back(static_cast<uint8_t>(value));
 }
 
-bool GetVarint(std::istream& in, uint64_t* value) {
-  *value = 0;
-  unsigned shift = 0;
-  while (true) {
-    int byte = in.get();
-    if (byte == EOF) return false;
-    // The final byte of a 10-byte varint may only carry bit 0: anything
-    // wider encodes a value past 2^64 (GapReader applies the same rule).
-    if (shift == 63 && (byte & 0x7E) != 0) return false;
-    *value |= static_cast<uint64_t>(byte & 0x7F) << shift;
-    if ((byte & 0x80) == 0) return true;
-    shift += 7;
-    if (shift > 63) return false;
-  }
-}
-
-void PutString(std::string_view s, std::ostream& out) {
-  PutVarint(s.size(), out);
-  out.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-
-bool GetString(std::istream& in, std::string* s) {
-  uint64_t length = 0;
-  if (!GetVarint(in, &length)) return false;
-  // Read in bounded blocks: a corrupt varint length must fail at the
-  // stream's actual end instead of attempting one multi-gigabyte resize.
-  constexpr uint64_t kBlock = uint64_t{1} << 16;
-  s->clear();
-  while (length > 0) {
-    uint64_t take = length < kBlock ? length : kBlock;
-    size_t old_size = s->size();
-    s->resize(old_size + take);
-    in.read(s->data() + old_size, static_cast<std::streamsize>(take));
-    if (static_cast<uint64_t>(in.gcount()) != take) return false;
-    length -= take;
-  }
-  return true;
-}
-
-void PutU64Le(uint64_t value, std::ostream& out) {
+void AppendU64Le(uint64_t value, std::vector<uint8_t>* out) {
   for (int i = 0; i < 8; ++i) {
-    out.put(static_cast<char>(value >> (8 * i)));
+    out->push_back(static_cast<uint8_t>(value >> (8 * i)));
   }
 }
 
@@ -119,8 +69,7 @@ uint64_t GetU64Le(const uint8_t* bytes) {
   return value;
 }
 
-/// Validating cursor over an in-memory (mmap-ed) byte region; the v2
-/// counterpart of the istream helpers above.
+/// Validating cursor over an in-memory (mapped or buffered) byte region.
 struct ByteReader {
   std::span<const uint8_t> data;
   size_t pos = 0;
@@ -207,20 +156,6 @@ V2Block BuildPredicateBlock(const GraphDatabase& db, uint32_t p) {
   return block;
 }
 
-/// Serializes the v1 dictionary block (which v2 shares after the magic):
-/// node/predicate counts, then names + literal flags.
-void WriteDictionary(const GraphDatabase& db, std::ostream& out) {
-  PutVarint(db.NumNodes(), out);
-  PutVarint(db.NumPredicates(), out);
-  for (uint32_t node = 0; node < db.NumNodes(); ++node) {
-    PutString(db.nodes().Name(node), out);
-    out.put(db.IsLiteral(node) ? 1 : 0);
-  }
-  for (uint32_t p = 0; p < db.NumPredicates(); ++p) {
-    PutString(db.predicates().Name(p), out);
-  }
-}
-
 // SQSIMDB3 dictionary block: a header of six u64 counts and a checksum,
 // then 8-byte-aligned sections (docs/DATASETS.md has the byte layout). The
 // block is handled as 64-bit words throughout, so its checksum is FNV-1a
@@ -298,16 +233,18 @@ void WriteDirectoryAndFooter(const std::vector<V2DirEntry>& dir,
     AppendVarint(e.fwd_rows, &dir_bytes);
     AppendVarint(e.bwd_rows, &dir_bytes);
     AppendVarint(e.nnz, &dir_bytes);
-    for (int i = 0; i < 8; ++i) {
-      dir_bytes.push_back(static_cast<uint8_t>(e.checksum >> (8 * i)));
-    }
+    AppendU64Le(e.checksum, &dir_bytes);
   }
-  out.write(reinterpret_cast<const char*>(dir_bytes.data()),
-            static_cast<std::streamsize>(dir_bytes.size()));
-  PutU64Le(dir_offset, out);
-  PutU64Le(dir_bytes.size(), out);
-  PutU64Le(Fnv1a64(dir_bytes), out);
-  out.write(kFooterMagic, sizeof(kFooterMagic));
+  std::vector<uint8_t> footer;
+  AppendU64Le(dir_offset, &footer);
+  AppendU64Le(dir_bytes.size(), &footer);
+  AppendU64Le(Fnv1a64(dir_bytes), &footer);
+  footer.insert(footer.end(), std::begin(kFooterMagic),
+                std::end(kFooterMagic));
+  for (const std::vector<uint8_t>* bytes : {&dir_bytes, &footer}) {
+    out.write(reinterpret_cast<const char*>(bytes->data()),
+              static_cast<std::streamsize>(bytes->size()));
+  }
 }
 
 /// Commits a finished tmp file to its destination via rename, so `path`
@@ -330,9 +267,11 @@ util::Status CommitTempFile(std::ofstream& out, const std::string& tmp,
   return util::Status::Ok();
 }
 
-/// The mmap-backed decode-on-fault reader of SQSIMDB2/3 predicate blocks.
-/// Owns either a real mapping or (fallback / stream loads) a heap buffer,
-/// aligned either way so SQSIMDB3 dictionary arrays are read in place.
+/// The byte span every load reads, and the decode-on-fault reader of the
+/// SQSIMDB2/3 predicate blocks in it. Owns either a read-only mapping of
+/// the file or (stream loads, and files that cannot be mapped) a heap
+/// buffer, aligned either way so SQSIMDB3 dictionary arrays are read in
+/// place.
 class MmapBacking : public OutOfCoreBacking {
  public:
   using OutOfCoreBacking::AttachSlot;  // loader wires slots up
@@ -341,10 +280,9 @@ class MmapBacking : public OutOfCoreBacking {
     if (map_base_ != nullptr) ::munmap(map_base_, map_len_);
   }
 
-  /// Buffers `prefix` followed by the rest of `in`.
-  static std::shared_ptr<MmapBacking> FromStream(std::span<const char> prefix,
-                                                 std::istream& in) {
-    std::string bytes(prefix.begin(), prefix.end());
+  /// Buffers the rest of `in`.
+  static std::shared_ptr<MmapBacking> FromStream(std::istream& in) {
+    std::string bytes;
     char block[1 << 16];
     while (in.read(block, sizeof(block)) || in.gcount() > 0) {
       bytes.append(block, static_cast<size_t>(in.gcount()));
@@ -497,8 +435,8 @@ class MmapBacking : public OutOfCoreBacking {
   size_t buffer_len_ = 0;
 };
 
-/// The dictionaries and literal flags of an SQSIMDB2/3 file, plus the file
-/// offset where the dictionary block ends.
+/// The dictionaries and literal flags of a file, plus the offset within the
+/// parsed region where the dictionary block ends.
 struct OpenedDictionary {
   std::shared_ptr<const Dictionary> nodes;
   std::shared_ptr<const Dictionary> predicates;
@@ -506,8 +444,9 @@ struct OpenedDictionary {
   uint64_t end = 0;
 };
 
-/// Reads a v2 dictionary block (the v1 encoding) by interning every name.
-util::Result<OpenedDictionary> InternV2Dictionary(
+/// Reads a v1/v2 dictionary block (varint-prefixed names) by interning
+/// every name.
+util::Result<OpenedDictionary> InternVarintDictionary(
     std::span<const uint8_t> region) {
   ByteReader dict{region};
   uint64_t num_nodes = 0, num_predicates = 0;
@@ -609,15 +548,119 @@ util::Result<OpenedDictionary> MapV3Dictionary(
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// SQSIMDB2/3 open path (footer -> directory -> dictionary -> lazy slots)
+// The reader: version dispatch, the v1 parse, and the SQSIMDB2/3 open path
+// (footer -> directory -> dictionary -> lazy slots)
 // ---------------------------------------------------------------------------
 
-class BinaryIo::MappedLoader {
+class BinaryIo::Reader {
  public:
+  /// Checks the magic and version byte once, then parses `backing`'s bytes.
   static util::Result<GraphDatabase> Open(std::shared_ptr<MmapBacking> backing,
                                           const LoadOptions& options) {
-    std::span<const uint8_t> file = backing->data();
-    if (file.size() < sizeof(kMagic) + kFooterBytes) {
+    const std::span<const uint8_t> file = backing->data();
+    if (file.size() < kHeadBytes ||
+        std::memcmp(file.data(), kMagic, sizeof(kMagic)) != 0) {
+      return util::Status::Error(
+          "not a sparqlsim binary database (bad magic; expected a file "
+          "written by sparqlsim_ingest)");
+    }
+    switch (file[sizeof(kMagic)]) {
+      case kVersion1:
+        return OpenV1(file.subspan(kHeadBytes));
+      case kVersion2:
+      case kVersion3:
+        return OpenFooterIndexed(std::move(backing), options);
+    }
+    return util::Status::Error(
+        std::string("unsupported sparqlsim database version '") +
+        static_cast<char>(file[sizeof(kMagic)]) +
+        "' (this build reads versions '1', '2' and '3')");
+  }
+
+ private:
+  /// SQSIMDB1: the varint dictionary, then per predicate the forward rows
+  /// as varint row deltas, degrees and column deltas.
+  static util::Result<GraphDatabase> OpenV1(std::span<const uint8_t> body) {
+    auto opened = InternVarintDictionary(body);
+    if (!opened.ok()) return opened.status();
+    OpenedDictionary& dict = opened.value();
+    const uint64_t num_nodes = dict.nodes->size();
+    const std::vector<bool>& is_literal = *dict.is_literal;
+    ByteReader in{body, static_cast<size_t>(dict.end)};
+    std::vector<Triple> triples;
+    for (uint32_t p = 0; p < dict.predicates->size(); ++p) {
+      uint64_t num_rows = 0;
+      if (!in.ReadVarint(&num_rows)) {
+        return util::Status::Error("truncated matrix header");
+      }
+      if (num_rows > num_nodes) {
+        return util::Status::Error(
+            "corrupt matrix header: row count exceeds the node universe");
+      }
+      uint64_t row = 0;
+      for (uint64_t r = 0; r < num_rows; ++r) {
+        uint64_t row_delta = 0, degree = 0;
+        if (!in.ReadVarint(&row_delta) || !in.ReadVarint(&degree)) {
+          return util::Status::Error("truncated row");
+        }
+        // Rows ascend strictly within the universe, so any valid delta is
+        // below num_nodes. Rejecting the delta *before* the addition keeps
+        // the accumulator from wrapping: a ~2^64 varint delta would
+        // otherwise overflow `row`/`col` back under num_nodes, pass the
+        // range check, and add a garbage triple via the uint32_t cast.
+        if (row_delta >= num_nodes || (r > 0 && row_delta == 0)) {
+          return util::Status::Error(
+              "corrupt matrix payload: row delta out of range");
+        }
+        row += row_delta;
+        if (row >= num_nodes) {
+          return util::Status::Error(
+              "corrupt matrix payload: row id out of range");
+        }
+        if (degree > num_nodes) {
+          return util::Status::Error(
+              "corrupt matrix payload: row degree exceeds the node universe");
+        }
+        uint64_t col = 0;
+        for (uint64_t c = 0; c < degree; ++c) {
+          uint64_t col_delta = 0;
+          if (!in.ReadVarint(&col_delta)) {
+            return util::Status::Error("truncated columns");
+          }
+          if (col_delta >= num_nodes || (c > 0 && col_delta == 0)) {
+            return util::Status::Error(
+                "corrupt matrix payload: column delta out of range");
+          }
+          col += col_delta;
+          if (col >= num_nodes) {
+            return util::Status::Error(
+                "corrupt matrix payload: column id out of range");
+          }
+          if (is_literal[row]) {  // Def. 1: literals have no out-edges
+            return util::Status::Error(
+                "literal '" +
+                std::string(dict.nodes->Name(static_cast<uint32_t>(row))) +
+                "' used in subject position (Def. 1)");
+          }
+          triples.push_back({static_cast<uint32_t>(row), p,
+                             static_cast<uint32_t>(col)});
+        }
+      }
+    }
+    GraphDatabase db;
+    db.nodes_ = std::move(dict.nodes);
+    db.predicates_ = std::move(dict.predicates);
+    db.is_literal_ = std::move(dict.is_literal);
+    db.BuildMatrices(std::move(triples));
+    return db;
+  }
+
+  /// SQSIMDB2/3: footer, directory and dictionary are validated here; the
+  /// predicate blocks decode when first touched.
+  static util::Result<GraphDatabase> OpenFooterIndexed(
+      std::shared_ptr<MmapBacking> backing, const LoadOptions& options) {
+    const std::span<const uint8_t> file = backing->data();
+    if (file.size() < kHeadBytes + kFooterBytes) {
       return util::Status::Error("truncated SQSIMDB2 file: no footer");
     }
     std::span<const uint8_t> footer = file.subspan(file.size() - kFooterBytes);
@@ -630,7 +673,7 @@ class BinaryIo::MappedLoader {
     const uint64_t dir_length = GetU64Le(footer.data() + 8);
     const uint64_t dir_checksum = GetU64Le(footer.data() + 16);
     const uint64_t payload_end = file.size() - kFooterBytes;
-    if (dir_offset < sizeof(kMagic) || dir_length > payload_end ||
+    if (dir_offset < kHeadBytes || dir_length > payload_end ||
         dir_offset > payload_end - dir_length) {
       return util::Status::Error(
           "corrupt SQSIMDB2 file: directory bounds out of range");
@@ -645,15 +688,15 @@ class BinaryIo::MappedLoader {
 
     // Dictionary block, directly after the magic.
     const std::span<const uint8_t> dict_region = file.subspan(
-        sizeof(kMagic), static_cast<size_t>(dir_offset) - sizeof(kMagic));
-    auto opened = file[7] == static_cast<uint8_t>(kVersion3)
+        kHeadBytes, static_cast<size_t>(dir_offset) - kHeadBytes);
+    auto opened = file[sizeof(kMagic)] == kVersion3
                       ? MapV3Dictionary(dict_region, backing)
-                      : InternV2Dictionary(dict_region);
+                      : InternVarintDictionary(dict_region);
     if (!opened.ok()) return opened.status();
     OpenedDictionary& dict = opened.value();
     const uint64_t num_nodes = dict.nodes->size();
     const uint64_t num_predicates = dict.predicates->size();
-    const uint64_t dict_end = sizeof(kMagic) + dict.end;
+    const uint64_t dict_end = kHeadBytes + dict.end;
 
     // Per-predicate directory; every block's bounds are validated here so
     // the fault path can index the mapping without re-checking.
@@ -707,94 +750,33 @@ class BinaryIo::MappedLoader {
       db.slots_.push_back(std::move(slot));
     }
 
-    if (options.eager) {
-      util::Status status = db.MaterializeAllAndDetach();
-      if (!status.ok()) return status;
-    } else if (options.resident_budget_bytes > 0) {
-      backing->SetBudgetBytes(options.resident_budget_bytes);
-    }
+    backing->SetBudgetBytes(options.resident_budget_bytes);
     return db;
   }
 };
 
 // ---------------------------------------------------------------------------
-// Save (v1), SaveV2, and the shared tmp-file + rename write path
+// The one SQSIMDB3 writer, and the two load entries into the one reader
 // ---------------------------------------------------------------------------
-
-void BinaryIo::Save(const GraphDatabase& db, std::ostream& out) {
-  ResidencyPin pin = db.PinResidency();
-  out.write(kMagic, sizeof(kMagic));
-  WriteDictionary(db, out);
-  for (uint32_t p = 0; p < db.NumPredicates(); ++p) {
-    const util::BitMatrix& m = db.Forward(p);
-    PutVarint(m.NumNonEmptyRows(), out);
-    uint32_t previous_row = 0;
-    m.ForEachRow([&](uint32_t row, std::span<const uint32_t> cols) {
-      PutVarint(row - previous_row, out);
-      previous_row = row;
-      PutVarint(cols.size(), out);
-      uint32_t previous_col = 0;
-      for (uint32_t col : cols) {
-        PutVarint(col - previous_col, out);
-        previous_col = col;
-      }
-    });
-  }
-}
-
-util::Status BinaryIo::SaveFile(const GraphDatabase& db,
-                                const std::string& path) {
-  const std::string tmp = path + ".tmp";
-  std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-  if (!out) return util::Status::Error("cannot write " + tmp);
-  Save(db, out);
-  return CommitTempFile(out, tmp, path);
-}
 
 namespace {
 
-/// Writes the SQSIMDB3 magic and dictionary block; returns the file offset
-/// of the first predicate block.
-uint64_t WriteV3Head(const GraphDatabase& db, std::ostream& out) {
+/// Writes `db` as SQSIMDB3: the magic and dictionary block, the
+/// per-predicate blocks, then the directory and footer. `threads` workers
+/// compress blocks ahead of the write cursor while this thread writes
+/// finished ones in predicate order, so compression and I/O overlap. The
+/// bytes are identical for every thread count: block content is a pure
+/// function of (db, p) and the write order is fixed.
+void WriteV3(const GraphDatabase& db, std::ostream& out, size_t threads) {
+  ResidencyPin pin = db.PinResidency();
   const std::vector<uint64_t> dict = BuildFlatDictionary(db);
   const size_t dict_bytes = dict.size() * sizeof(uint64_t);
-  out.write(kMagic, sizeof(kMagic) - 1);
-  out.put(kVersion3);
+  out.write(kMagic, sizeof(kMagic));
+  out.put(static_cast<char>(kVersion3));
   out.write(reinterpret_cast<const char*>(dict.data()),
             static_cast<std::streamsize>(dict_bytes));
-  return sizeof(kMagic) + dict_bytes;
-}
+  uint64_t offset = kHeadBytes + dict_bytes;
 
-}  // namespace
-
-void BinaryIo::SaveV2(const GraphDatabase& db, std::ostream& out) {
-  ResidencyPin pin = db.PinResidency();
-  uint64_t offset = WriteV3Head(db, out);
-  std::vector<V2DirEntry> dir(db.NumPredicates());
-  for (uint32_t p = 0; p < db.NumPredicates(); ++p) {
-    V2Block block = BuildPredicateBlock(db, p);
-    block.entry.offset = offset;
-    offset += block.entry.length;
-    dir[p] = block.entry;
-    out.write(reinterpret_cast<const char*>(block.bytes.data()),
-              static_cast<std::streamsize>(block.bytes.size()));
-  }
-  WriteDirectoryAndFooter(dir, offset, out);
-}
-
-util::Status BinaryIo::SaveV2File(const GraphDatabase& db,
-                                  const std::string& path, size_t threads) {
-  ResidencyPin pin = db.PinResidency();
-  const std::string tmp = path + ".tmp";
-  std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-  if (!out) return util::Status::Error("cannot write " + tmp);
-  uint64_t offset = WriteV3Head(db, out);
-
-  // Producer queue: workers compress per-predicate blocks ahead of the
-  // file cursor while this thread writes finished blocks in predicate
-  // order — compression and chunk I/O pipeline instead of alternating.
-  // Bytes are identical for every thread count: block content is a pure
-  // function of (db, p) and the write order is fixed.
   util::ThreadPool pool(util::ThreadPool::ResolveThreadCount(threads));
   const size_t window = 2 * pool.NumThreads() + 2;
   std::deque<std::future<V2Block>> inflight;
@@ -818,161 +800,33 @@ util::Status BinaryIo::SaveV2File(const GraphDatabase& db,
     });
   }
   while (!inflight.empty()) drain_one();
-
   WriteDirectoryAndFooter(dir, offset, out);
-  return CommitTempFile(out, tmp, path);
-}
-
-// ---------------------------------------------------------------------------
-// Load (version dispatch), v1 body, file open
-// ---------------------------------------------------------------------------
-
-namespace {
-
-util::Result<GraphDatabase> LoadV1Body(std::istream& in) {
-  uint64_t num_nodes = 0, num_predicates = 0;
-  if (!GetVarint(in, &num_nodes) || !GetVarint(in, &num_predicates)) {
-    return util::Status::Error("truncated header");
-  }
-  if (num_nodes > UINT32_MAX || num_predicates > UINT32_MAX) {
-    return util::Status::Error("corrupt header: counts exceed the 32-bit id "
-                               "space");
-  }
-
-  GraphDatabaseBuilder builder;
-  // The stream's length is unknown here, so a corrupt count may promise
-  // far more names than follow: reserve at most kV1ReserveCap up front and
-  // let interning grow past it.
-  constexpr uint64_t kV1ReserveCap = uint64_t{1} << 20;
-  builder.ReserveNodes(static_cast<size_t>(std::min(num_nodes, kV1ReserveCap)));
-  std::string name;
-  for (uint64_t i = 0; i < num_nodes; ++i) {
-    if (!GetString(in, &name)) return util::Status::Error("truncated nodes");
-    int literal = in.get();
-    if (literal == EOF) return util::Status::Error("truncated nodes");
-    // First-seen interning preserves the original dense ids.
-    uint32_t id = literal ? builder.InternLiteral(name)
-                          : builder.InternNode(name);
-    if (id != i) return util::Status::Error("duplicate node entry");
-  }
-  for (uint64_t p = 0; p < num_predicates; ++p) {
-    if (!GetString(in, &name)) {
-      return util::Status::Error("truncated predicates");
-    }
-    if (builder.InternPredicate(name) != p) {
-      return util::Status::Error("duplicate predicate entry");
-    }
-  }
-  for (uint32_t p = 0; p < num_predicates; ++p) {
-    uint64_t num_rows = 0;
-    if (!GetVarint(in, &num_rows)) {
-      return util::Status::Error("truncated matrix header");
-    }
-    if (num_rows > num_nodes) {
-      return util::Status::Error(
-          "corrupt matrix header: row count exceeds the node universe");
-    }
-    uint64_t row = 0;
-    for (uint64_t r = 0; r < num_rows; ++r) {
-      uint64_t row_delta = 0, degree = 0;
-      if (!GetVarint(in, &row_delta) || !GetVarint(in, &degree)) {
-        return util::Status::Error("truncated row");
-      }
-      // Rows ascend strictly within the universe, so any valid delta is
-      // below num_nodes. Rejecting the delta *before* the addition keeps
-      // the accumulator from wrapping: a ~2^64 varint delta would
-      // otherwise overflow `row`/`col` back under num_nodes, pass the
-      // range check, and intern a garbage triple via the uint32_t cast.
-      if (row_delta >= num_nodes || (r > 0 && row_delta == 0)) {
-        return util::Status::Error(
-            "corrupt matrix payload: row delta out of range");
-      }
-      row += row_delta;
-      if (row >= num_nodes) {
-        return util::Status::Error(
-            "corrupt matrix payload: row id out of range");
-      }
-      if (degree > num_nodes) {
-        return util::Status::Error(
-            "corrupt matrix payload: row degree exceeds the node universe");
-      }
-      uint64_t col = 0;
-      for (uint64_t c = 0; c < degree; ++c) {
-        uint64_t col_delta = 0;
-        if (!GetVarint(in, &col_delta)) {
-          return util::Status::Error("truncated columns");
-        }
-        if (col_delta >= num_nodes || (c > 0 && col_delta == 0)) {
-          return util::Status::Error(
-              "corrupt matrix payload: column delta out of range");
-        }
-        col += col_delta;
-        if (col >= num_nodes) {
-          return util::Status::Error(
-              "corrupt matrix payload: column id out of range");
-        }
-        util::Status status =
-            builder.AddTripleIds(static_cast<uint32_t>(row), p,
-                                 static_cast<uint32_t>(col));
-        if (!status.ok()) return status;
-      }
-    }
-  }
-  return std::move(builder).Build();
 }
 
 }  // namespace
 
+void BinaryIo::SaveV2(const GraphDatabase& db, std::ostream& out) {
+  WriteV3(db, out, /*threads=*/1);
+}
+
+util::Status BinaryIo::SaveV2File(const GraphDatabase& db,
+                                  const std::string& path, size_t threads) {
+  const std::string tmp = path + ".tmp";
+  std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+  if (!out) return util::Status::Error("cannot write " + tmp);
+  WriteV3(db, out, threads);
+  return CommitTempFile(out, tmp, path);
+}
+
 util::Result<GraphDatabase> BinaryIo::Load(std::istream& in) {
-  char magic[8];
-  in.read(magic, sizeof(magic));
-  if (in.gcount() != sizeof(magic) ||
-      std::memcmp(magic, kMagic, sizeof(kMagic) - 1) != 0) {
-    return util::Status::Error(
-        "not a sparqlsim binary database (bad magic; expected a file "
-        "written by BinaryIo::Save / sparqlsim_ingest)");
-  }
-  if (magic[7] == kVersion1) return LoadV1Body(in);
-  if (magic[7] == kVersion2 || magic[7] == kVersion3) {
-    // Stream loads are necessarily eager: buffer the remainder and decode
-    // through the same validated in-memory path as the mmap reader.
-    LoadOptions options;
-    options.eager = true;
-    return MappedLoader::Open(MmapBacking::FromStream(magic, in), options);
-  }
-  return util::Status::Error(
-      std::string("unsupported sparqlsim database version '") + magic[7] +
-      kReadableVersions);
+  return Reader::Open(MmapBacking::FromStream(in), LoadOptions());
 }
 
 util::Result<GraphDatabase> BinaryIo::LoadFile(const std::string& path,
                                                const LoadOptions& options) {
-  char magic[8] = {0};
-  {
-    std::ifstream probe(path, std::ios::binary);
-    if (!probe) return util::Status::Error("cannot open " + path);
-    probe.read(magic, sizeof(magic));
-    if (probe.gcount() == sizeof(magic) && magic[7] == kVersion1 &&
-        std::memcmp(magic, kMagic, sizeof(kMagic) - 1) == 0) {
-      probe.seekg(0);
-      return Load(probe);
-    }
-  }
-  // Not a v1 file: open through the mapping path, which re-validates the
-  // magic and dispatches corrupt/foreign files to the same errors Load()
-  // produces.
-  if (std::memcmp(magic, kMagic, sizeof(kMagic) - 1) != 0) {
-    std::ifstream in(path, std::ios::binary);
-    return Load(in);
-  }
-  if (magic[7] != kVersion2 && magic[7] != kVersion3) {
-    return util::Status::Error(
-        std::string("unsupported sparqlsim database version '") + magic[7] +
-        kReadableVersions);
-  }
   auto backing = MmapBacking::FromFile(path);
   if (!backing.ok()) return backing.status();
-  return MappedLoader::Open(std::move(backing).value(), options);
+  return Reader::Open(std::move(backing).value(), options);
 }
 
 }  // namespace sparqlsim::graph

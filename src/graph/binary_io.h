@@ -13,68 +13,60 @@ namespace sparqlsim::graph {
 /// in the spirit of the BitMat storage the paper connects to (Sect. 3.3).
 ///
 /// The version byte after the shared "SQSIMDB" magic dispatches; every
-/// version is specified byte-for-byte in docs/DATASETS.md:
+/// version is specified byte-for-byte in docs/DATASETS.md. SQSIMDB3 is the
+/// only version written; 1 and 2 are read so that older files keep loading
+/// (`sparqlsim_cli convert` upgrades them):
 ///
 ///  * SQSIMDB1 — dictionaries plus, per predicate, the forward adjacency
-///    rows with delta-varint-encoded column indices. Always loaded eagerly.
+///    rows with delta-varint-encoded column indices. Parsed whole at open.
 ///  * SQSIMDB2 — footer-indexed: the v1 dictionary block, then one
 ///    independently addressable, checksummed block per predicate holding
 ///    the forward AND backward matrices as GAP/RLE-compressed rows
 ///    (util::GapCodec), with a per-predicate directory of offsets/lengths/
-///    row counts/checksums. Read-only: no writer produces it any more.
+///    row counts/checksums.
 ///  * SQSIMDB3 — SQSIMDB2 with the dictionary block replaced by the flat
 ///    Dictionary arrays verbatim (name blob, id→offset array, bucket
-///    table) plus a literal bitmap, checksummed. LoadFile maps the file:
-///    the dictionaries are views into the mapping, validated but never
-///    interned, and a predicate's BitMatrix slabs materialize on first
-///    touch (GraphDatabase's backing seam), evictable under a resident-byte
-///    budget.
+///    table) plus a literal bitmap, checksummed. The dictionaries are views
+///    into the file's bytes, validated but never interned.
+///
+/// Every load reads one byte span: LoadFile maps the file, Load buffers the
+/// stream, and one reader checks the magic and version byte and parses.
+/// A version-2/3 database keeps that span: a predicate's BitMatrix slabs
+/// materialize on first touch (GraphDatabase's backing seam), evictable
+/// under a resident-byte budget.
 ///
 /// Loading any version reproduces identical node/predicate ids, which is
 /// what lets `sparqlsim_ingest` pre-convert real dumps once and every bench
 /// load them via `--db`.
 class BinaryIo {
  public:
-  /// How LoadFile opens a version-2/3 file (version-1 files are always
-  /// eager; these options are ignored for them).
+  /// How a version-2/3 database is served (ignored for version 1).
   struct LoadOptions {
-    /// Materialize every predicate at open and drop the backing — the
-    /// database then behaves exactly like a v1 load (no pins, no budget).
-    bool eager = false;
-    /// Resident-byte budget for lazy opens; 0 = unbounded.
+    /// Resident-byte budget for the lazily materialized predicates;
+    /// 0 = unbounded.
     size_t resident_budget_bytes = 0;
   };
 
-  /// Writes `db` to `out` in format version 1. The encoding is a pure
-  /// function of the database content, so equal databases serialize
-  /// byte-identically.
-  static void Save(const GraphDatabase& db, std::ostream& out);
-  /// Writes `db` to `path` in format version 1 (tmp file + atomic rename:
-  /// the destination either holds the complete database or is untouched).
-  static util::Status SaveFile(const GraphDatabase& db,
-                               const std::string& path);
-
-  /// Writes `db` to `out` in the lazily loadable format, version 3
-  /// (SQSIMDB3; the name predates it). Also a pure function of the database
-  /// content — the thread count of the overlapped file writer never changes
-  /// the bytes.
+  /// Writes `db` to `out` as SQSIMDB3 (the name predates the version). The
+  /// encoding is a pure function of the database content, so equal
+  /// databases serialize byte-identically.
   static void SaveV2(const GraphDatabase& db, std::ostream& out);
-  /// Writes `db` to `path` as SaveV2 does, overlapping per-predicate block
-  /// compression (on `threads` workers; 0 = hardware concurrency) with
-  /// sequential file writes, tmp file + atomic rename as SaveFile.
+  /// Writes `db` to `path` as SaveV2 does, compressing per-predicate blocks
+  /// on `threads` workers (0 = hardware concurrency) ahead of the
+  /// sequential writes; the thread count never changes the bytes. Goes
+  /// through a tmp file and an atomic rename, so `path` either holds the
+  /// complete database or is untouched.
   static util::Status SaveV2File(const GraphDatabase& db,
                                  const std::string& path, size_t threads = 0);
 
-  /// Reads a database of any version from a stream (necessarily eager —
-  /// there is no file to keep mapped; a version-3 dictionary views the
-  /// buffered stream, which it keeps alive). Rejects foreign files (bad magic),
-  /// files written by a newer format version, and truncated/corrupt
-  /// streams with a descriptive error — it never relies on stream state or
-  /// throws.
+  /// Reads a database of any version from a stream, buffering all of it.
+  /// Rejects foreign files (bad magic), files written by a newer format
+  /// version, and truncated/corrupt input with a descriptive error — it
+  /// never relies on stream state or throws. A corrupt version-2/3
+  /// predicate block is found when the predicate first materializes
+  /// (GraphDatabase::MaterializeAll reports it as a Status).
   static util::Result<GraphDatabase> Load(std::istream& in);
-  /// Reads a database from `path`. Version-2/3 files are mmap-ed and loaded
-  /// lazily per predicate unless `options.eager` is set; a version-3 file's
-  /// dictionaries stay views into the mapping either way.
+  /// Reads a database of any version from `path`, mapping the file.
   static util::Result<GraphDatabase> LoadFile(const std::string& path,
                                               const LoadOptions& options);
   static util::Result<GraphDatabase> LoadFile(const std::string& path) {
@@ -82,10 +74,10 @@ class BinaryIo {
   }
 
  private:
-  /// SQSIMDB2/3 open path (footer/directory validation, dictionary map or
-  /// intern, lazy slot assembly); nested so it shares BinaryIo's friend
-  /// access to GraphDatabase.
-  class MappedLoader;
+  /// The one reader behind Load and LoadFile (version dispatch, the v1
+  /// parse, the v2/v3 footer/directory validation and lazy slot assembly);
+  /// nested so it shares BinaryIo's friend access to GraphDatabase.
+  class Reader;
 };
 
 }  // namespace sparqlsim::graph

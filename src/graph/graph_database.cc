@@ -36,11 +36,6 @@ uint32_t GraphDatabaseBuilder::InternPredicate(std::string_view name) {
   return predicates_->Intern(name);
 }
 
-void GraphDatabaseBuilder::ReserveNodes(size_t nodes) {
-  nodes_->Reserve(nodes);
-  is_literal_->reserve(nodes);
-}
-
 util::Status GraphDatabaseBuilder::AddTriple(std::string_view s,
                                              std::string_view p,
                                              std::string_view o) {
@@ -93,8 +88,9 @@ const GraphDatabase::PredicateSlab& GraphDatabase::PredicateSlot::Fault()
   util::Status status = TryFault();
   if (!status.ok()) {
     // Get() has no error channel (it hands out references on the solver's
-    // hot path), and open-time validation makes decode failure here mean
-    // the file changed underneath the mapping — not recoverable.
+    // hot path). Open validates everything but the block payloads, so a
+    // decode failure here is a corrupt block or a file changed underneath
+    // the mapping; MaterializeAll() is the Status-returning check.
     std::fprintf(stderr,
                  "sparqlsim: fatal: lazy materialization of predicate %u "
                  "failed: %s\n",
@@ -370,20 +366,12 @@ GraphDatabase GraphDatabase::RebuildChanged(
   return db;
 }
 
-util::Status GraphDatabase::MaterializeAllAndDetach() {
-  if (backing_ == nullptr) return util::Status::Ok();
-  for (auto& slot : slots_) {
+util::Status GraphDatabase::MaterializeAll() const {
+  for (const auto& slot : slots_) {
     if (slot->backing == nullptr) continue;
     util::Status status = slot->TryFault();
     if (!status.ok()) return status;
-    std::shared_ptr<const PredicateSlab> slab;
-    {
-      std::lock_guard<std::mutex> lock(slot->mu);
-      slab = slot->slab;
-    }
-    slot = MakeEagerSlot(std::move(slab));
   }
-  backing_.reset();
   return util::Status::Ok();
 }
 

@@ -68,10 +68,6 @@ class GraphDatabaseBuilder {
   /// Interns a predicate (edge label in the alphabet Sigma).
   uint32_t InternPredicate(std::string_view name);
 
-  /// Sizes the node dictionary for `nodes` names up front (the binary
-  /// loaders know the count from the header).
-  void ReserveNodes(size_t nodes);
-
   /// Adds (s, p, o) where all three are IRI-like names.
   util::Status AddTriple(std::string_view s, std::string_view p,
                          std::string_view o);
@@ -145,10 +141,10 @@ class GraphDatabase {
     mutable std::atomic<const PredicateSlab*> resident{nullptr};
 
     /// The slab, decoding it on first touch. The fast path is one acquire
-    /// load. If the at-rest bytes turn out corrupt at fault time (possible
-    /// only when the file changed after open — open-time validation covers
-    /// the directory and structure), the process aborts with a diagnostic;
-    /// use TryFault() for a Status-returning materialization.
+    /// load. If the block turns out corrupt at fault time (open validates
+    /// the directory and structure, not the block payloads), the process
+    /// aborts with a diagnostic; use TryFault() or
+    /// GraphDatabase::MaterializeAll() for a Status instead.
     const PredicateSlab& Get() const {
       const PredicateSlab* s = resident.load(std::memory_order_acquire);
       if (s != nullptr) return *s;
@@ -311,8 +307,14 @@ class GraphDatabase {
   size_t GapEncodedMatrixBytes() const;
 
   /// True iff this database serves some predicates lazily from an at-rest
-  /// backing (SQSIMDB2 open without --eager).
+  /// backing (an SQSIMDB2/3 load).
   bool HasBacking() const { return backing_ != nullptr; }
+
+  /// Faults in every lazy predicate and returns the first decode failure
+  /// (a block whose checksum or encoding is bad) as a Status, where Get()
+  /// would abort. A whole-database pass over a loaded file (`convert`)
+  /// calls it first. Budget enforcement may evict the slabs again.
+  util::Status MaterializeAll() const;
 
   /// Backing-layer counters; all-zero for a fully in-memory database.
   BackingStats backing_stats() const;
@@ -371,12 +373,6 @@ class GraphDatabase {
   GraphDatabase RebuildChanged(
       std::vector<std::vector<std::pair<uint32_t, uint32_t>>>&& per_predicate,
       const std::vector<bool>* touched) const;
-
-  /// Faults in every lazy predicate (Status on decode failure) and rewraps
-  /// the decoded slabs in eager slots, dropping the backing: the eager
-  /// open mode of SQSIMDB2 files. Only sound on a freshly loaded database
-  /// that no other version shares slots with yet.
-  util::Status MaterializeAllAndDetach();
 
   std::shared_ptr<const Dictionary> nodes_;
   std::shared_ptr<const Dictionary> predicates_;

@@ -179,20 +179,8 @@ void StandingQuery::MaintainBranch(BranchState& b,
   for (uint32_t v = 0; v < num_vars; ++v) {
     if (cone[v] || soi.unsatisfiable_vars[v]) ++cone_count;
   }
-  const bool cone_full = cone_count == num_vars;
-
-  bool recompute = false;
-  switch (options_.policy) {
-    case StandingQueryOptions::Policy::kForceRecompute:
-      recompute = true;
-      break;
-    case StandingQueryOptions::Policy::kForceMaintain:
-      recompute = false;
-      break;
-    case StandingQueryOptions::Policy::kAuto:
-      recompute = cone_full;
-      break;
-  }
+  // A full cone makes the warm start the cold start plus bookkeeping.
+  const bool recompute = cone_count == num_vars;
 
   Solution solved;
   if (recompute) {

@@ -32,25 +32,6 @@ struct StandingQueryOptions {
   /// are ignored — a standing query *is* its own cache: it holds the
   /// converged solution per branch.
   SolverOptions solver;
-
-  /// Escalation policy seam: kAuto applies the cost model below,
-  /// the forced modes pin the decision for differential tests — results
-  /// are bit-identical across all three, only wall-clock and the
-  /// maintained/recomputed counters differ.
-  ///
-  /// Cost model (kAuto): a branch is recomputed from cold exactly when the
-  /// *affected cone* of an insert-carrying delta covers every SOI
-  /// variable. Insertions can only enlarge candidate sets of variables
-  /// reading a grown predicate — and, transitively, of variables reading
-  /// those (the cone); cone variables restart from the cold
-  /// initialization while the rest keep their converged sets. A full cone
-  /// therefore makes the warm start equal to the cold start plus arming
-  /// bookkeeping: maintenance has provably lost, so recompute. Deletions
-  /// never enter the cone (retraction resumes from the old fixpoint,
-  /// which stays a sound over-approximation), so delete-only deltas
-  /// always maintain.
-  enum class Policy { kAuto, kForceMaintain, kForceRecompute };
-  Policy policy = Policy::kAuto;
 };
 
 /// Maintenance counters of one StandingQuery, cumulative since
@@ -101,13 +82,15 @@ struct StandingStats {
 ///    initialization — outside the cone the old assignment provably *is*
 ///    the new fixpoint, so it is kept verbatim;
 ///  * the cost model escalates to a full cold recompute when the cone
-///    covers every variable (see StandingQueryOptions::Policy).
+///    covers every variable: the warm start then equals the cold start
+///    plus arming bookkeeping, so maintenance has provably lost.
+///    Deletions never enter the cone, so delete-only deltas always
+///    maintain.
 ///
 /// Correctness bar (held by tests/standing_query_test.cc): after every
 /// applied delta the maintained solution, kept-triple set, and
 /// per-variable candidates are bit-identical to a cold
-/// SimEngine::Prune on the post-delta snapshot — for every policy and
-/// thread count.
+/// SimEngine::Prune on the post-delta snapshot — for every thread count.
 ///
 /// Not thread-safe: one writer at a time (QueryService::Subscribe wraps a
 /// StandingQuery in a mutex and drives it from the publish path).

@@ -1,6 +1,6 @@
 // End-to-end coverage of the ingestion pipeline:
 //   sparqlsim_datagen lubm  ->  .nt dump
-//   sparqlsim_ingest        ->  SQSIMDB1 binary (1 vs 8 threads, gz)
+//   sparqlsim_ingest        ->  SQSIMDB3 binary (1 vs 8 threads, gz)
 //   sparqlsim_cli --db      ->  stats / sim over the ingested database
 // plus the determinism contract at the file level: byte-identical output
 // for every thread count and for the gzip-compressed input.
@@ -130,8 +130,19 @@ TEST_F(CliIngestTest, RejectsUsageErrors) {
                  TempPath("out.gdb"),
              &exit_code);
   EXPECT_EQ(exit_code, 1);
-  RunCommand(std::string(SPARQLSIM_INGEST) + " --format v3 a b", &exit_code);
-  EXPECT_EQ(exit_code, 2);
+}
+
+// SQSIMDB3 is the only format written, so the old format switch is gone:
+// every spelling of it is an unknown option.
+TEST_F(CliIngestTest, FormatFlagIsAUsageError) {
+  for (const char* flags : {"--format v1", "--format v2", "--format=v2",
+                            "--format v3"}) {
+    int exit_code = 0;
+    RunCommand(std::string(SPARQLSIM_INGEST) + " " + flags + " " + Nt() +
+                   " " + TempPath("ingest_format.gdb"),
+               &exit_code);
+    EXPECT_EQ(exit_code, 2) << flags;
+  }
 }
 
 TEST_F(CliIngestTest, MalformedSizeFlagsAreUsageErrors) {
@@ -184,30 +195,17 @@ TEST_F(CliIngestTest, TruncatedGzipFailsWithoutOutput) {
   EXPECT_FALSE(leftover.good()) << "partial output left at " << out;
 }
 
-TEST_F(CliIngestTest, FormatV2RoundTripsThroughTheCli) {
+TEST_F(CliIngestTest, IngestWritesV3ThatTheCliOpensLazily) {
   int exit_code = 0;
-  const std::string t1_path = TempPath("ingest_v2_t1.gdb");
-  const std::string t8_path = TempPath("ingest_v2_t8.gdb");
-  RunCommand(std::string(SPARQLSIM_INGEST) + " --format v2 --threads 1 " +
-                 Nt() + " " + t1_path,
+  const std::string t1_path = TempPath("ingest_v3_t1.gdb");
+  RunCommand(std::string(SPARQLSIM_INGEST) + " --threads 1 " + Nt() + " " +
+                 t1_path,
              &exit_code);
   ASSERT_EQ(exit_code, 0);
-  RunCommand(std::string(SPARQLSIM_INGEST) + " --format=v2 --threads 8 " +
-                 Nt() + " " + t8_path,
-             &exit_code);
-  ASSERT_EQ(exit_code, 0);
+  EXPECT_EQ(ReadFileBytes(t1_path).substr(0, 8), "SQSIMDB3");
 
-  // The v2 writer is deterministic across thread counts, like v1.
-  std::string t1 = ReadFileBytes(t1_path);
-  std::string t8 = ReadFileBytes(t8_path);
-  ASSERT_FALSE(t1.empty());
-  EXPECT_EQ(t1, t8);
-  // --format v2 names the lazily loadable layout; its writer emits the
-  // mapped-dictionary version byte '3'.
-  EXPECT_EQ(t1.substr(0, 8), "SQSIMDB3");
-
-  // The CLI opens v2 via --db (lazily) and answers the same query as the
-  // v1 database — including under a 1 MiB forced-eviction budget.
+  // The CLI opens it via --db (lazily) and answers the query —
+  // including under a 1 MiB forced-eviction budget.
   for (const char* env :
        {"", "SPARQLSIM_RESIDENT_MB=1 ", "SPARQLSIM_RESIDENT_MB=0 "}) {
     std::string sim = RunCommand(

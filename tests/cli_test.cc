@@ -4,16 +4,31 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <fstream>
+#include <sstream>
 #include <string>
 
 #include "cli_test_common.h"
+#include "graph/binary_io.h"
 #include "temp_path.h"
 
 namespace {
 
 using sparqlsim_test::RunCommand;
 using sparqlsim_test::TempPath;
+
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
+std::string DataPath(const std::string& name) {
+  return std::string(SPARQLSIM_TEST_DATA_DIR) + "/" + name;
+}
 
 class CliTest : public ::testing::Test {
  protected:
@@ -90,6 +105,48 @@ TEST_F(CliTest, ConvertAndBinaryLoad) {
       RunCommand(std::string(SPARQLSIM_CLI) + " stats " + GdbPath(), &code);
   EXPECT_EQ(code, 0);
   EXPECT_NE(out.find("triples:    20"), std::string::npos);
+}
+
+// `convert` is the upgrade path for older files: the frozen SQSIMDB1 and
+// SQSIMDB2 fixtures of one database both come out as the SQSIMDB3 bytes
+// the library writes for that database.
+TEST_F(CliTest, ConvertUpgradesOlderFilesToV3) {
+  auto v2 = sparqlsim::graph::BinaryIo::LoadFile(DataPath("movies_v2.gdb"));
+  ASSERT_TRUE(v2.ok()) << v2.error_message();
+  std::stringstream want;
+  sparqlsim::graph::BinaryIo::SaveV2(v2.value(), want);
+  ASSERT_EQ(want.str().substr(0, 8), "SQSIMDB3");
+  for (const char* fixture : {"movies_v1.gdb", "movies_v2.gdb"}) {
+    const std::string out = TempPath(std::string("converted_") + fixture);
+    int code = 0;
+    RunCommand(std::string(SPARQLSIM_CLI) + " --db " + DataPath(fixture) +
+                   " convert " + out,
+               &code);
+    EXPECT_EQ(code, 0) << fixture;
+    EXPECT_EQ(ReadFileBytes(out), want.str()) << fixture;
+  }
+}
+
+// A corrupt predicate block passes the open (blocks are checked when they
+// materialize). `convert` and `stats` read every block, so they must report
+// the block and exit 1, not abort.
+TEST_F(CliTest, WholeDatabaseCommandsReportACorruptBlock) {
+  std::string bytes = ReadFileBytes(DataPath("movies_v2.gdb"));
+  uint64_t dir_offset = 0;  // the footer's first field, little-endian
+  std::memcpy(&dir_offset, bytes.data() + bytes.size() - 32, 8);
+  bytes[dir_offset - 1] ^= 0x40;  // last byte of the last block
+  const std::string corrupt = TempPath("corrupt_block.gdb");
+  std::ofstream(corrupt, std::ios::binary | std::ios::trunc) << bytes;
+  for (const std::string command :
+       {"convert " + TempPath("corrupt_out.gdb"), std::string("stats")}) {
+    int code = 0;
+    std::string out = RunCommand(std::string("( ") + SPARQLSIM_CLI +
+                                     " --db " + corrupt + " " + command +
+                                     " 2>&1 )",
+                                 &code);
+    EXPECT_EQ(code, 1) << command << "\n" << out;
+    EXPECT_NE(out.find("checksum mismatch"), std::string::npos) << out;
+  }
 }
 
 TEST_F(CliTest, ExplainCommand) {

@@ -34,7 +34,7 @@ GraphDatabase ParseOrDie(const std::string& text,
 
 std::string SerializedBinary(const GraphDatabase& db) {
   std::ostringstream out;
-  BinaryIo::Save(db, out);
+  BinaryIo::SaveV2(db, out);
   return out.str();
 }
 

@@ -1,5 +1,5 @@
-// Out-of-core tier suite. A database opened from a v1 file, a v2 file
-// opened eagerly, and a v2 file opened lazily (mmap + per-predicate
+// Out-of-core tier suite. The in-memory database, an SQSIMDB3 stream load
+// and an SQSIMDB3 file opened lazily (mmap + per-predicate
 // materialization on first touch) must be indistinguishable to the
 // engine: bit-identical solutions, prune reports, and fixpoint
 // trajectories across thread counts.
@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -37,14 +38,19 @@ using graph::BinaryIo;
 using graph::GraphDatabase;
 using sparqlsim_test::TempPath;
 
-// Writes `db` in both formats; returns the two paths.
-std::pair<std::string, std::string> WriteBothFormats(const GraphDatabase& db,
-                                                     const std::string& tag) {
-  std::string v1 = TempPath("outofcore_" + tag + "_v1.gdb");
-  std::string v2 = TempPath("outofcore_" + tag + "_v2.gdb");
-  EXPECT_TRUE(BinaryIo::SaveFile(db, v1).ok());
-  EXPECT_TRUE(BinaryIo::SaveV2File(db, v2).ok());
-  return {v1, v2};
+// Writes `db` as SQSIMDB3; returns the path.
+std::string WriteDatabase(const GraphDatabase& db, const std::string& tag) {
+  std::string path = TempPath("outofcore_" + tag + ".gdb");
+  EXPECT_TRUE(BinaryIo::SaveV2File(db, path).ok());
+  return path;
+}
+
+// The stream load of the file at `path`: lazy over a heap copy.
+GraphDatabase StreamOrDie(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  auto loaded = BinaryIo::Load(in);
+  EXPECT_TRUE(loaded.ok()) << path << ": " << loaded.error_message();
+  return std::move(loaded).value();
 }
 
 GraphDatabase OpenOrDie(const std::string& path,
@@ -65,7 +71,7 @@ void ExpectSameTrajectory(const SolveStats& actual, const SolveStats& want,
 }
 
 // ---------------------------------------------------------------------------
-// Interchangeability: v1 / v2-eager / v2-lazy across the solver matrix
+// Interchangeability: in-memory / stream / lazy across the solver matrix
 // ---------------------------------------------------------------------------
 
 TEST(OutOfCoreDifferentialTest, BackingNeverChangesSolveResults) {
@@ -75,7 +81,7 @@ TEST(OutOfCoreDifferentialTest, BackingNeverChangesSolveResults) {
   config.num_labels = 3;
   config.seed = 11;
   GraphDatabase built = datagen::MakeRandomDatabase(config);
-  auto [v1_path, v2_path] = WriteBothFormats(built, "diff");
+  const std::string gdb_path = WriteDatabase(built, "diff");
 
   graph::Graph pattern = datagen::MakeRandomPattern(6, 4, 3, 2011);
   Soi soi = BuildSoiFromGraph(pattern);
@@ -89,8 +95,6 @@ TEST(OutOfCoreDifferentialTest, BackingNeverChangesSolveResults) {
     ASSERT_TRUE(SatisfiesSoi(soi, built, reference.candidates, &why)) << why;
   }
 
-  BinaryIo::LoadOptions eager;
-  eager.eager = true;
   BinaryIo::LoadOptions lazy_tight;
   lazy_tight.resident_budget_bytes = 1;  // evict-everything pressure
 
@@ -99,10 +103,9 @@ TEST(OutOfCoreDifferentialTest, BackingNeverChangesSolveResults) {
     GraphDatabase db;
   };
   Variant variants[] = {
-      {"v1", OpenOrDie(v1_path)},
-      {"v2-eager", OpenOrDie(v2_path, eager)},
-      {"v2-lazy", OpenOrDie(v2_path)},
-      {"v2-lazy-tight", OpenOrDie(v2_path, lazy_tight)},
+      {"stream", StreamOrDie(gdb_path)},
+      {"lazy", OpenOrDie(gdb_path)},
+      {"lazy-tight", OpenOrDie(gdb_path, lazy_tight)},
   };
 
   for (Variant& variant : variants) {
@@ -126,7 +129,7 @@ TEST(OutOfCoreDifferentialTest, BackingNeverChangesSolveResults) {
 
 TEST(OutOfCoreDifferentialTest, PruneReportsIdenticalAcrossBackings) {
   GraphDatabase built = datagen::MakeMovieDatabase();
-  auto [v1_path, v2_path] = WriteBothFormats(built, "prune");
+  const std::string gdb_path = WriteDatabase(built, "prune");
   auto parsed = sparql::Parser::Parse(
       "SELECT * WHERE { { ?d <directed> ?m . } UNION "
       "{ ?m <genre> ?g . ?d <directed> ?m . } UNION "
@@ -134,15 +137,12 @@ TEST(OutOfCoreDifferentialTest, PruneReportsIdenticalAcrossBackings) {
   ASSERT_TRUE(parsed.ok()) << parsed.error_message();
   sparql::Query query = std::move(parsed).value();
 
-  BinaryIo::LoadOptions eager;
-  eager.eager = true;
-  GraphDatabase v1 = OpenOrDie(v1_path);
-  GraphDatabase v2_eager = OpenOrDie(v2_path, eager);
-  GraphDatabase v2_lazy = OpenOrDie(v2_path);
+  GraphDatabase stream = StreamOrDie(gdb_path);
+  GraphDatabase lazy = OpenOrDie(gdb_path);
 
   PruneReport reference;
   bool have_reference = false;
-  for (GraphDatabase* db : {&v1, &v2_eager, &v2_lazy}) {
+  for (GraphDatabase* db : {&built, &stream, &lazy}) {
     SolverOptions options;
     options.num_threads = 2;
     SimEngine engine(db, options);
@@ -171,10 +171,9 @@ TEST(OutOfCoreDifferentialTest, PruneReportsIdenticalAcrossBackings) {
 
 TEST(OutOfCoreLazinessTest, ColdOpenMaterializesNothing) {
   GraphDatabase built = datagen::MakeMovieDatabase();
-  auto [v1_path, v2_path] = WriteBothFormats(built, "cold");
-  (void)v1_path;
+  const std::string gdb_path = WriteDatabase(built, "cold");
 
-  GraphDatabase db = OpenOrDie(v2_path);
+  GraphDatabase db = OpenOrDie(gdb_path);
   ASSERT_TRUE(db.HasBacking());
   graph::BackingStats stats = db.backing_stats();
   EXPECT_EQ(stats.predicates, built.NumPredicates());
@@ -192,10 +191,9 @@ TEST(OutOfCoreLazinessTest, ColdOpenMaterializesNothing) {
 TEST(OutOfCoreLazinessTest, QueriesOnlyMaterializeTouchedPredicates) {
   GraphDatabase built = datagen::MakeMovieDatabase();
   ASSERT_GE(built.NumPredicates(), 3u);
-  auto [v1_path, v2_path] = WriteBothFormats(built, "touch");
-  (void)v1_path;
+  const std::string gdb_path = WriteDatabase(built, "touch");
 
-  GraphDatabase db = OpenOrDie(v2_path);
+  GraphDatabase db = OpenOrDie(gdb_path);
   auto parsed =
       sparql::Parser::Parse("SELECT * WHERE { ?d <directed> ?m . }");
   ASSERT_TRUE(parsed.ok()) << parsed.error_message();
@@ -227,10 +225,9 @@ TEST(OutOfCoreLazinessTest, ResidentBytesAreTheMatricesApproxBytes) {
   config.num_labels = 4;
   config.seed = 5;
   GraphDatabase built = datagen::MakeRandomDatabase(config);
-  auto [v1_path, v2_path] = WriteBothFormats(built, "slabbytes");
-  (void)v1_path;
+  const std::string gdb_path = WriteDatabase(built, "slabbytes");
 
-  GraphDatabase db = OpenOrDie(v2_path);
+  GraphDatabase db = OpenOrDie(gdb_path);
   ASSERT_EQ(db.backing_stats().resident_bytes, 0u);
   size_t expected = 0;
   for (uint32_t p = 0; p < db.NumPredicates(); ++p) {
@@ -243,7 +240,8 @@ TEST(OutOfCoreLazinessTest, ResidentBytesAreTheMatricesApproxBytes) {
 // Restrict after a lazy prune settles every predicate from slot metadata or
 // from the slabs the query already faulted in, so it decodes nothing new —
 // not the predicates the query never read, and not a predicate with no
-// triples. Its result is the eager open's Restrict, triple for triple.
+// triples. Its result is the in-memory database's Restrict, triple for
+// triple.
 TEST(OutOfCoreLazinessTest, RestrictAfterPruneMaterializesNothingNew) {
   datagen::RandomGraphConfig config;
   config.num_nodes = 200;
@@ -263,14 +261,13 @@ TEST(OutOfCoreLazinessTest, RestrictAfterPruneMaterializesNothingNew) {
     ASSERT_TRUE(builder.AddTripleIds(t.subject, t.predicate, t.object).ok());
   });
   GraphDatabase built = std::move(builder).Build();
-  auto [v1_path, v2_path] = WriteBothFormats(built, "restrict");
-  (void)v1_path;
+  const std::string gdb_path = WriteDatabase(built, "restrict");
 
   auto parsed = sparql::Parser::Parse(
       "SELECT * WHERE { ?x <p0> ?y . ?y <p1> ?z . }");
   ASSERT_TRUE(parsed.ok()) << parsed.error_message();
 
-  GraphDatabase lazy = OpenOrDie(v2_path);
+  GraphDatabase lazy = OpenOrDie(gdb_path);
   PruneReport lazy_report =
       SimEngine(&lazy, SolverOptions{}).Prune(parsed.value());
   ASSERT_FALSE(lazy_report.kept_triples.empty());
@@ -279,14 +276,11 @@ TEST(OutOfCoreLazinessTest, RestrictAfterPruneMaterializesNothingNew) {
   GraphDatabase restricted = lazy.Restrict(lazy_report.kept_triples);
   EXPECT_EQ(lazy.backing_stats().materializations, faulted);
 
-  BinaryIo::LoadOptions eager_options;
-  eager_options.eager = true;
-  GraphDatabase eager = OpenOrDie(v2_path, eager_options);
-  PruneReport eager_report =
-      SimEngine(&eager, SolverOptions{}).Prune(parsed.value());
-  GraphDatabase eager_restricted = eager.Restrict(eager_report.kept_triples);
-  EXPECT_EQ(restricted.NumTriples(), eager_restricted.NumTriples());
-  EXPECT_EQ(restricted.AllTriples(), eager_restricted.AllTriples());
+  PruneReport built_report =
+      SimEngine(&built, SolverOptions{}).Prune(parsed.value());
+  GraphDatabase built_restricted = built.Restrict(built_report.kept_triples);
+  EXPECT_EQ(restricted.NumTriples(), built_restricted.NumTriples());
+  EXPECT_EQ(restricted.AllTriples(), built_restricted.AllTriples());
 }
 
 // ---------------------------------------------------------------------------
@@ -300,12 +294,11 @@ TEST(OutOfCoreEvictionTest, BudgetEvictsAndRefaultsCorrectly) {
   config.num_labels = 6;
   config.seed = 4;
   GraphDatabase built = datagen::MakeRandomDatabase(config);
-  auto [v1_path, v2_path] = WriteBothFormats(built, "evict");
-  (void)v1_path;
+  const std::string gdb_path = WriteDatabase(built, "evict");
 
   BinaryIo::LoadOptions tight;
   tight.resident_budget_bytes = 1;  // room for at most the pinned slab
-  GraphDatabase db = OpenOrDie(v2_path, tight);
+  GraphDatabase db = OpenOrDie(gdb_path, tight);
   ASSERT_TRUE(db.HasBacking());
   EXPECT_EQ(db.backing_stats().budget_bytes, 1u);
 
@@ -334,10 +327,9 @@ TEST(OutOfCoreEvictionTest, BudgetEvictsAndRefaultsCorrectly) {
 
 TEST(OutOfCoreEvictionTest, PinsDeferEvictionUntilReleased) {
   GraphDatabase built = datagen::MakeMovieDatabase();
-  auto [v1_path, v2_path] = WriteBothFormats(built, "pin");
-  (void)v1_path;
+  const std::string gdb_path = WriteDatabase(built, "pin");
 
-  GraphDatabase db = OpenOrDie(v2_path);
+  GraphDatabase db = OpenOrDie(gdb_path);
   {
     graph::ResidencyPin pin = db.PinResidency();
     for (uint32_t p = 0; p < db.NumPredicates(); ++p) {
@@ -364,12 +356,11 @@ TEST(OutOfCoreConcurrencyTest, RacingReadersFaultAndEvictSafely) {
   config.num_labels = 4;
   config.seed = 23;
   GraphDatabase built = datagen::MakeRandomDatabase(config);
-  auto [v1_path, v2_path] = WriteBothFormats(built, "race");
-  (void)v1_path;
+  const std::string gdb_path = WriteDatabase(built, "race");
 
   BinaryIo::LoadOptions tight;
   tight.resident_budget_bytes = 1;
-  GraphDatabase db = OpenOrDie(v2_path, tight);
+  GraphDatabase db = OpenOrDie(gdb_path, tight);
 
   graph::Graph pattern = datagen::MakeRandomPattern(5, 3, 4, 99);
   Soi soi = BuildSoiFromGraph(pattern);

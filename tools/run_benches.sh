@@ -135,9 +135,9 @@ SPARQLSIM_BENCH_JSON="$RUN_DIR/bench_outofcore.json" run_bench bench_outofcore
   # update stream (headline.speedup is the maintain-vs-recompute ratio).
   echo '  ,"standing":'
   cat "$RUN_DIR/bench_standing.json"
-  # outofcore: SQSIMDB2 cold-open + first-query latency of the lazy
-  # mmap-backed loader vs the eager v1/v2 paths, with backing counters
-  # (resident/materializations/evictions) per variant.
+  # outofcore: SQSIMDB3 cold-open + first-query latency of the lazy
+  # mmap-backed loader, unbounded and under a resident budget, with backing
+  # counters (resident/materializations/evictions) per variant.
   echo '  ,"outofcore":'
   cat "$RUN_DIR/bench_outofcore.json"
   echo '}'

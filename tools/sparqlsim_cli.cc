@@ -9,7 +9,9 @@
 //                                          variable (candidates only)
 //   bench   <data.nt> <query.rq|->        compare SOI vs Ma et al. vs HHK
 //   explain <data.nt> <query.rq|->        show both engines' query plans
-//   convert <data.nt> <out.gdb>           convert to the binary format
+//   convert <data> <out.gdb>              write SQSIMDB3; <data> may be
+//                                          N-Triples or any SQSIMDB
+//                                          version, so this upgrades v1/v2
 //
 // Options (anywhere on the command line):
 //   --threads N   solver worker threads for sim/prune/bench; 0 = all
@@ -112,6 +114,12 @@ bool ReadQuery(const char* path, sparql::Query* query) {
 }
 
 int CmdStats(const graph::GraphDatabase& db) {
+  // Every matrix is read below: a corrupt block of a loaded file is
+  // reported here instead of aborting mid-table.
+  if (util::Status status = db.MaterializeAll(); !status.ok()) {
+    std::fprintf(stderr, "%s\n", status.message().c_str());
+    return 1;
+  }
   std::printf("nodes:      %zu\n", db.NumNodes());
   std::printf("predicates: %zu\n", db.NumPredicates());
   std::printf("triples:    %zu\n", db.NumTriples());
@@ -339,7 +347,10 @@ int Run(int argc, char** argv) {
   if (std::strcmp(command, "stats") == 0) return CmdStats(db);
   if (std::strcmp(command, "convert") == 0) {
     if (args.size() < next + 1) return Usage();
-    util::Status status = graph::BinaryIo::SaveFile(db, args[next]);
+    // A corrupt block of an older file fails here with a message instead
+    // of aborting the writer mid-file.
+    util::Status status = db.MaterializeAll();
+    if (status.ok()) status = graph::BinaryIo::SaveV2File(db, args[next]);
     if (!status.ok()) {
       std::fprintf(stderr, "%s\n", status.message().c_str());
       return 1;

@@ -1,6 +1,8 @@
 // sparqlsim-ingest — converts real-world N-Triples dumps (LUBM, DBpedia,
-// any RDF export) into the SQSIMDB binary formats consumed by
-// `sparqlsim_cli --db` and the bench harnesses.
+// any RDF export) into the SQSIMDB3 binary database consumed by
+// `sparqlsim_cli --db` and the bench harnesses: a footer-indexed file
+// whose dictionary block is mapped, not interned, and whose predicate
+// matrices load lazily (see docs/DATASETS.md).
 //
 //   sparqlsim_ingest [options] <in.nt | in.nt.gz | -> <out.gdb>
 //
@@ -11,11 +13,6 @@
 //                  output is byte-identical for every value)
 //   --chunk-mb M   parallel parse chunk size in MiB (default 8; tuning
 //                  knob only, never changes the output)
-//   --format v1|v2 output format (default v1). v2 is the footer-indexed
-//                  layout that readers mmap and load lazily per predicate,
-//                  written as SQSIMDB3: its dictionary block is mapped, not
-//                  interned (see docs/DATASETS.md); v1 stays the default
-//                  so existing checksummed artifacts keep reproducing
 //   --stats        print line/triple/malformed counters and phase timings
 //
 // `.gz` inputs are streamed through `gzip -dc` (no temporary file);
@@ -26,7 +23,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <istream>
@@ -51,11 +47,10 @@ int Usage() {
   std::fprintf(
       stderr,
       "usage: sparqlsim_ingest [--permissive] [--threads N] [--chunk-mb M] "
-      "[--format v1|v2] [--stats] <in.nt[.gz]|-> <out.gdb>\n"
+      "[--stats] <in.nt[.gz]|-> <out.gdb>\n"
       "  converts an N-Triples dump (optionally gzip-compressed, '-' for\n"
-      "  stdin) to the SQSIMDB1 (default) or mmap-able SQSIMDB3 binary\n"
-      "  database format; see docs/DATASETS.md for the end-to-end dataset\n"
-      "  workflow\n");
+      "  stdin) to the mmap-able SQSIMDB3 binary database format; see\n"
+      "  docs/DATASETS.md for the end-to-end dataset workflow\n");
   return 2;
 }
 
@@ -103,7 +98,6 @@ struct IngestConfig {
   std::string input;
   std::string output;
   graph::NTriplesOptions parse;
-  bool format_v2 = false;
   bool print_stats = false;
 };
 
@@ -161,13 +155,10 @@ int RunIngest(const IngestConfig& config) {
   double build_seconds = phase_watch.ElapsedSeconds();
 
   phase_watch.Restart();
-  // Both writers go through a tmp file + atomic rename, so a failed or
+  // The writer goes through a tmp file + atomic rename, so a failed or
   // interrupted ingest never leaves a partial database at the output path.
-  util::Status saved =
-      config.format_v2
-          ? graph::BinaryIo::SaveV2File(db, config.output,
-                                        config.parse.num_threads)
-          : graph::BinaryIo::SaveFile(db, config.output);
+  util::Status saved = graph::BinaryIo::SaveV2File(db, config.output,
+                                                   config.parse.num_threads);
   if (!saved.ok()) {
     std::fprintf(stderr, "error: %s\n", saved.message().c_str());
     return 1;
@@ -214,16 +205,6 @@ int Run(int argc, char** argv) {
     } else if (tools::FlagValue(argc, argv, &i, "--threads", &value)) {
       if (value == nullptr) return MissingValue("--threads");
       if (!tools::ParseSize(value, "--threads", &config.parse.num_threads)) {
-        return Usage();
-      }
-    } else if (tools::FlagValue(argc, argv, &i, "--format", &value)) {
-      if (value == nullptr) return MissingValue("--format");
-      if (std::strcmp(value, "v1") == 0) {
-        config.format_v2 = false;
-      } else if (std::strcmp(value, "v2") == 0) {
-        config.format_v2 = true;
-      } else {
-        std::fprintf(stderr, "--format must be v1 or v2, got '%s'\n", value);
         return Usage();
       }
     } else if (tools::FlagValue(argc, argv, &i, "--chunk-mb", &value)) {
